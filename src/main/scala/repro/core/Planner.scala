@@ -56,9 +56,6 @@ object Planner {
       Planned(p, Solver.solve(p, nodeBudget))
     }
 
-  /** Merge individually optimal plans into one shared selection: stores and
-    * identical steps are deduplicated, but plan *choice* stays locally optimal.
-    */
   /** Re-cost an existing selection under (possibly newer) statistics: sum of
     * its distinct probe-step costs plus the MIR insert costs. Used for
     * reconfiguration hysteresis (only rewire on a clear improvement).
@@ -78,6 +75,9 @@ object Planner {
     costs.values.sum
   }
 
+  /** Merge individually optimal plans into one shared selection: stores and
+    * identical steps are deduplicated, but plan *choice* stays locally optimal.
+    */
   def sharedFromIndividual(planned: Seq[Planned]): Selection = {
     val orders = planned.toVector.flatMap(_.selection.orders)
     // Deduplicate maintenance slots selected by several queries for the same MIR.

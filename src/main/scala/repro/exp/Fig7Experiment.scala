@@ -57,7 +57,7 @@ object Fig7Experiment {
   }
 
   private def runSim(w: Workload, sel: Selection, rels: Set[String], params: SimParams) = {
-    val sim = new EventSim(sel.queries.headOption.map(_ => w.catalog).getOrElse(w.catalog), params)
+    val sim = new EventSim(w.catalog, params)
     sim.installConfig(0L, Topology.build(sel, w.catalog))
     val input = StreamData.merged(w.streams.view.filterKeys(rels).toMap)
     sim.run(input)

@@ -1,15 +1,19 @@
 package repro.sim
 
 import repro.core._
+import scala.collection.immutable.BitSet
 import scala.collection.mutable
 
 /** A tuple of an input stream: values keyed by fully qualified attribute name
-  * (`"S.b"`), plus the event timestamp in seconds. Timestamps must be unique
-  * across the whole input so "arrived earlier" is a strict total order.
+  * (`"S.b"`), one for every catalog attribute of the relation, plus the event
+  * timestamp in seconds. Timestamps must be unique across the whole input so
+  * "arrived earlier" is a strict total order.
   */
 final case class InTuple(rel: String, vals: Map[String, Long], ts: Double)
 
-/** A (partial) join result travelling through the topology. */
+/** A join result as reported in `Metrics.results`: values keyed by fully
+  * qualified attribute name, timestamps keyed by relation.
+  */
 final class ITuple(
     val vals: Map[String, Long],
     val tss: Map[String, Double],
@@ -17,13 +21,6 @@ final class ITuple(
     val maxTs: Double,
 ) {
   override def toString: String = s"ITuple($vals, $tss)"
-}
-
-object ITuple {
-  def single(t: InTuple): ITuple = new ITuple(t.vals, Map(t.rel -> t.ts), t.ts, t.ts)
-  def merge(a: ITuple, b: ITuple): ITuple =
-    new ITuple(a.vals ++ b.vals, a.tss ++ b.tss,
-               math.min(a.minTs, b.minTs), math.max(a.maxTs, b.maxTs))
 }
 
 /** Physical model of the simulated cluster. All times in seconds.
@@ -102,14 +99,50 @@ trait Controller {
   * configurations are epoch-scoped, stores keep one container per epoch, and
   * an input tuple is probed once per maximal run of window-covered epochs
   * that share a configuration, so rewiring never loses results.
+  *
+  * Physical plan. `installConfig` compiles each `Topology` once into a
+  * `PhysicalPlan`, so the event loop works on ints and arrays only:
+  *  - a partial result is a `Row` (values, timestamps, min/max timestamp) in
+  *    the slot `Layout` of its sorted relation set — one value slot per
+  *    catalog attribute of those relations, one timestamp per relation;
+  *  - store instances are interned by `StoreRef.key` into a registry that
+  *    lives as long as the simulator, since configurations share instances by
+  *    key; each container indexes its rows by value slot;
+  *  - per node the plan holds the target store id, the routing slot (or
+  *    broadcast), the probe slot pairs, the gather that merges a prefix row
+  *    with a candidate, the children, the emitted queries with their windows,
+  *    and the MIR stores it inserts into.
+  * Events are ordered by (time, priority, sequence number), so simulated-time
+  * ties go to the message enqueued first. Messages are created in a fixed
+  * order: per-partition batches of a routed send in ascending partition
+  * order, probe candidates in store insertion order, base stores in
+  * covering-configuration order, then children before MIR inserts.
+  * Results are turned into `ITuple` maps only when `recordResults` is set.
   */
 final class EventSim(val catalog: Catalog, val params: SimParams, recordResults: Boolean = false) {
 
   val metrics = new Metrics
   val samples = new EpochSamples(params.epochLen)
 
+  private val layouts = mutable.HashMap[Vector[String], Layout]()
+  private def layout(rels: Vector[String]): Layout =
+    layouts.getOrElseUpdate(rels, new Layout(rels, catalog))
+  private val relNames = catalog.rels.keys.toVector.sorted
+  private val relIds: Map[String, Int] = relNames.zipWithIndex.toMap
+  private val relLayouts: Array[Layout] = relNames.map(r => layout(Vector(r))).toArray
+
   // ---- configuration schedule -------------------------------------------
-  private val configs = mutable.TreeMap[Long, Topology]()
+  private val configs = mutable.TreeMap[Long, PhysicalPlan]()
+  // `configs` as arrays (ascending start epoch) for the per-tuple lookups
+  private var schedFrom = Array.empty[Long]
+  private var schedPlan = Array.empty[PhysicalPlan]
+  private var globalMaxWindow = 0.0
+
+  private def rescheduled(): Unit = {
+    schedFrom = configs.keys.toArray
+    schedPlan = configs.values.toArray
+    globalMaxWindow = if (configs.isEmpty) 0.0 else schedPlan.map(_.maxWindow).max
+  }
 
   /** Install a configuration governing every epoch from `fromEpoch` onward
     * (any previously installed configuration with a later start is
@@ -117,11 +150,19 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     */
   def installConfig(fromEpoch: Long, topo: Topology): Unit = {
     configs.keys.filter(_ >= fromEpoch).toVector.foreach(configs.remove)
-    configs(fromEpoch) = topo
     topo.stores.values.foreach(ensureStore)
+    configs(fromEpoch) = configs.valuesIterator.find(_.topo eq topo).getOrElse(
+      PhysicalPlan.compile(topo, relIds, layout, storeId))
+    rescheduled()
   }
 
-  def configFor(e: Long): Option[Topology] = configs.rangeTo(e).lastOption.map(_._2)
+  private def planFor(e: Long): PhysicalPlan = {
+    var i = schedFrom.length - 1
+    while (i >= 0 && schedFrom(i) > e) i -= 1
+    if (i < 0) null else schedPlan(i)
+  }
+
+  def configFor(e: Long): Option[Topology] = Option(planFor(e)).map(_.topo)
 
   def installedConfigs: Int = configs.size
 
@@ -141,51 +182,78 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     if (acc == null) Set.empty else acc
   }
 
-  private def globalMaxWindow: Double =
-    if (configs.isEmpty) 0.0 else configs.values.map(_.maxWindow).max
-
   // ---- stores -------------------------------------------------------------
-  private final class Container {
-    val tuples = mutable.ArrayBuffer[ITuple]()
-    private val idx = mutable.Map[String, mutable.HashMap[Long, mutable.ArrayBuffer[ITuple]]]()
-    def add(t: ITuple): Unit = {
-      tuples += t
-      idx.foreach { case (a, m) => m.getOrElseUpdate(t.vals(a), mutable.ArrayBuffer.empty) += t }
+  private final class Container(nSlots: Int) {
+    val rows = mutable.ArrayBuffer[Row]()
+    private val idx = new Array[mutable.LongMap[mutable.ArrayBuffer[Row]]](nSlots)
+    def add(r: Row): Unit = {
+      rows += r
+      var s = 0
+      while (s < nSlots) {
+        if (idx(s) != null) idx(s).getOrElseUpdate(r.vals(s), mutable.ArrayBuffer.empty) += r
+        s += 1
+      }
     }
-    def lookup(attr: String, v: Long): mutable.ArrayBuffer[ITuple] = {
-      val m = idx.getOrElseUpdate(attr, {
-        val m = mutable.HashMap[Long, mutable.ArrayBuffer[ITuple]]()
-        tuples.foreach(t => m.getOrElseUpdate(t.vals(attr), mutable.ArrayBuffer.empty) += t)
-        m
-      })
-      m.getOrElse(v, EventSim.emptyBuf)
+    /** Rows whose value slot `slot` equals `v`, in insertion order. */
+    def lookup(slot: Int, v: Long): mutable.ArrayBuffer[Row] = {
+      if (idx(slot) == null) {
+        val m = mutable.LongMap[mutable.ArrayBuffer[Row]]()
+        rows.foreach(r => m.getOrElseUpdate(r.vals(slot), mutable.ArrayBuffer.empty) += r)
+        idx(slot) = m
+      }
+      idx(slot).getOrElse(v, EventSim.emptyBuf)
     }
-    def size: Int = tuples.size
+    def size: Int = rows.size
   }
 
-  private final class PartitionState {
-    val byEpoch = mutable.Map[Long, Container]()
+  private final class PartitionState(val busyKey: (String, Int)) {
+    val byEpoch = mutable.LongMap[Container]()
     var busyUntil = 0.0
   }
 
   private final class StoreInst(val dfn: StoreDef) {
-    val parts: Array[PartitionState] = Array.fill(dfn.parallelism)(new PartitionState)
+    val layout: Layout = EventSim.this.layout(dfn.ref.mir.relations)
+    val parallelism: Int = dfn.parallelism
+    val parts: Array[PartitionState] = Array.tabulate(parallelism)(p => new PartitionState((dfn.key, p)))
+    private val partSlot = dfn.ref.part.map(layout.slot).getOrElse(-1)
     var stored = 0L
+
+    /** Partition of a row in this store's layout; an unpartitioned store
+      * hashes all of the row's values.
+      */
+    def partitionOf(r: Row): Int =
+      if (partSlot >= 0) hashPart(r.vals(partSlot), parallelism)
+      else hashPart(r.vals.foldLeft(17L)((h, v) => h * 31 + v), parallelism)
   }
 
-  private val stores = mutable.Map[String, StoreInst]()
+  // Store registry: ids are interned by `StoreRef.key` for the whole run; a
+  // slot holds the live instance, or null once the store is collected.
+  private val storeIdOf = mutable.HashMap[String, Int]()
+  private val stores = mutable.ArrayBuffer[StoreInst]()
 
-  private def ensureStore(dfn: StoreDef): Unit =
-    if (!stores.contains(dfn.key)) stores(dfn.key) = new StoreInst(dfn)
+  private def storeId(key: String): Int = storeIdOf.getOrElseUpdate(key, { stores += null; stores.size - 1 })
+
+  private def ensureStore(dfn: StoreDef): Unit = {
+    val id = storeId(dfn.key)
+    if (stores(id) == null) stores(id) = new StoreInst(dfn)
+  }
 
   /** Current number of tuples held by a store (all partitions/epochs). */
-  def storedIn(storeKey: String): Long = stores.get(storeKey).map(_.stored).getOrElse(0L)
+  def storedIn(storeKey: String): Long =
+    storeIdOf.get(storeKey).flatMap(id => Option(stores(id))).map(_.stored).getOrElse(0L)
 
-  def activeStoreKeys: Set[String] = stores.keySet.toSet
+  def activeStoreKeys: Set[String] = stores.iterator.filter(_ != null).map(_.dfn.key).toSet
 
   // ---- events --------------------------------------------------------------
-  private sealed trait Payload
-  private final case class StoreOp(epoch: Long, tup: ITuple) extends Payload
+  private sealed abstract class Ev(val time: Double, val prio: Int, val seq: Long, val store: Int, val part: Int) {
+    /** Tuples this message carries. */
+    def size: Int
+  }
+
+  private final class StoreEv(time: Double, seq: Long, store: Int, part: Int, val epoch: Long, val row: Row)
+      extends Ev(time, 0, seq, store, part) {
+    def size: Int = 1
+  }
 
   /** A probe pass for combo-ownership epochs [ownLo, ownHi]: it may match
     * partners stored in any epoch up to the driving tuple's own, but only
@@ -199,13 +267,16 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     * (its pass probes the widest epoch range, hence produces a superset of
     * any later pass's combinations).
     */
-  private final case class ProbeOp(topo: Topology, node: TopoNode, ownLo: Long, ownHi: Long,
-                                   tups: Vector[ITuple], srcTs: Double, srcId: Long,
-                                   storeOwn: Set[String]) extends Payload
+  private final class ProbeEv(time: Double, seq: Long, store: Int, part: Int, val node: PlanNode,
+                              val ownLo: Long, val ownHi: Long, val rows: Array[Row], val srcTs: Double,
+                              val srcId: Long, val storeOwn: BitSet)
+      extends Ev(time, 1, seq, store, part) {
+    def size: Int = rows.length
+  }
 
   // Outstanding probe messages per source tuple — a tuple "completes" (all
   // its join results computed) when this drains to zero.
-  private val pendingProbes = mutable.Map[Long, Int]()
+  private val pendingProbes = mutable.LongMap[Int]()
 
   private def completeTuple(srcId: Long, srcTs: Double, fin: Double): Unit = {
     metrics.tuplesCompleted += 1
@@ -215,17 +286,21 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     pendingProbes.remove(srcId)
   }
 
-  private final case class Ev(time: Double, prio: Int, seq: Long, store: String, part: Int, payload: Payload)
-
-  private val pq = mutable.PriorityQueue.empty[Ev](
-    Ordering.by((e: Ev) => (-e.time, -e.prio, -e.seq)))
+  // earliest time first; at equal times stores (priority 0) before probes,
+  // then the message enqueued first
+  private val pq = new java.util.PriorityQueue[Ev]((a: Ev, b: Ev) => {
+    val c = java.lang.Double.compare(a.time, b.time)
+    if (c != 0) c
+    else if (a.prio != b.prio) Integer.compare(a.prio, b.prio)
+    else java.lang.Long.compare(a.seq, b.seq)
+  })
   private var seq = 0L
 
-  private def enqueue(time: Double, prio: Int, store: String, part: Int, p: Payload): Unit = {
-    seq += 1
-    pq.enqueue(Ev(time, prio, seq, store, part, p))
-    val k = p match { case s: StoreOp => 1; case pr: ProbeOp => pr.tups.size }
-    metrics.inFlight += k
+  private def nextSeq(): Long = { seq += 1; seq }
+
+  private def enqueue(ev: Ev): Unit = {
+    pq.add(ev)
+    metrics.inFlight += ev.size
   }
 
   private def epochOf(ts: Double): Long = math.floor(ts / params.epochLen).toLong
@@ -246,141 +321,145 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     math.floorMod(h, par)
   }
 
-  private def storePartition(ref: StoreRef, vals: Map[String, Long], par: Int): Int = ref.part match {
-    case Some(a) => hashPart(vals(a.full), par)
-    case None    => hashPart(vals.values.foldLeft(17L)((h, v) => h * 31 + v), par)
-  }
-
   // ---- probing ---------------------------------------------------------------
-  /** Send a batch of (partial) result tuples to the workers of a node's target
-    * store: routed to one partition when the partitioning value is derivable,
+  /** Send a batch of (partial) result rows to the workers of a node's target
+    * store: routed per row to one partition when the partitioning value is
+    * derivable (one message per partition, in ascending partition order),
     * broadcast to all partitions otherwise (factor χ in the probe cost).
     */
-  private def dispatch(topo: Topology, node: TopoNode, eLo: Long, eHi: Long,
-                       tups: Vector[ITuple], srcTs: Double, srcId: Long,
-                       storeOwn: Set[String], time: Double): Int = {
-    val st = stores(node.step.targetRef.key)
-    val par = st.dfn.parallelism
+  private def dispatch(node: PlanNode, eLo: Long, eHi: Long, rows: Array[Row], srcTs: Double,
+                       srcId: Long, storeOwn: BitSet, time: Double): Int = {
+    val st = stores(node.target)
+    val par = st.parallelism
+    def send(p: Int, batch: Array[Row]): Unit =
+      enqueue(new ProbeEv(time, nextSeq(), node.target, p, node, eLo, eHi, batch, srcTs, srcId, storeOwn))
     var msgs = 0
-    node.step.routeAttr match {
-      case Some(a) =>
-        tups.groupBy(t => hashPart(t.vals(a.full), par)).foreach { case (p, group) =>
-          enqueue(time, 1, st.dfn.key, p, ProbeOp(topo, node, eLo, eHi, group, srcTs, srcId, storeOwn))
-          msgs += 1
-        }
-        metrics.tuplesSent += tups.size
-        metrics.sentByNode(node.id) += tups.size
-      case None =>
+    val sent =
+      if (node.routeSlot >= 0) {
+        val parts = rows.map(r => hashPart(r.vals(node.routeSlot), par))
         var p = 0
         while (p < par) {
-          enqueue(time, 1, st.dfn.key, p, ProbeOp(topo, node, eLo, eHi, tups, srcTs, srcId, storeOwn))
-          msgs += 1
+          val c = parts.count(_ == p)
+          if (c > 0) {
+            send(p, if (c == rows.length) rows else rows.indices.filter(parts(_) == p).map(rows).toArray)
+            msgs += 1
+          }
           p += 1
         }
-        metrics.tuplesSent += tups.size.toLong * par
-        metrics.sentByNode(node.id) += tups.size.toLong * par
-    }
+        rows.length.toLong
+      } else {
+        (0 until par).foreach(send(_, rows))
+        msgs = par
+        rows.length.toLong * par
+      }
+    metrics.tuplesSent += sent
+    metrics.sentByNode(node.id) += sent
     metrics.probeMsgs += msgs
     msgs
   }
 
-  private def handleStore(ev: Ev, op: StoreOp): Unit = {
+  private def handleStore(ev: StoreEv): Unit = {
     val st = stores(ev.store)
     val ps = st.parts(ev.part)
     val start = math.max(ev.time, ps.busyUntil)
     val dur = params.sStore
     ps.busyUntil = start + dur
-    metrics.workerBusy((ev.store, ev.part)) += dur
+    metrics.workerBusy(ps.busyKey) += dur
     noteBacklog(ps, ev.time)
-    ps.byEpoch.getOrElseUpdate(op.epoch, new Container).add(op.tup)
+    ps.byEpoch.getOrElseUpdate(ev.epoch, new Container(st.layout.attrs.size)).add(ev.row)
     st.stored += 1
     metrics.storedNow += 1
     if (metrics.storedNow > metrics.peakStored) metrics.peakStored = metrics.storedNow
   }
 
-  private def handleProbe(ev: Ev, op: ProbeOp): Unit = {
-    val st = stores(ev.store)
-    val ps = st.parts(ev.part)
-    val step = op.node.step
-    val w = op.node.probeWindow
-    val targetRels = step.target.relSet
-    val pairs = step.probePreds.toVector.map { p =>
-      if (targetRels(p.x.rel)) (p.x, p.y) else (p.y, p.x)
-    }
-    require(pairs.nonEmpty, s"cross-product probe at node ${op.node.id}")
-    val (sa, pa) = pairs.head
-    val rest = pairs.tail
+  private def handleProbe(ev: ProbeEv): Unit = {
+    val ps = stores(ev.store).parts(ev.part)
+    val node = ev.node
+    val w = node.window
+    require(node.probeTarget.nonEmpty, s"cross-product probe at node ${node.id}")
+    val sa = node.probeTarget(0)
+    val pa = node.probePrefix(0)
+    val nPairs = node.probeTarget.length
 
-    val produced = Vector.newBuilder[ITuple]
-    var n = 0
-    val probeHi = epochOf(op.srcTs)
-    op.tups.foreach { tup =>
-      val pv = tup.vals(pa.full)
-      var e = op.ownLo
+    val produced = mutable.ArrayBuffer[Row]()
+    val probeHi = epochOf(ev.srcTs)
+    var t = 0
+    while (t < ev.rows.length) {
+      val tup = ev.rows(t)
+      val pv = tup.vals(pa)
+      var e = ev.ownLo
       while (e <= probeHi) {
-        ps.byEpoch.get(e).foreach { cont =>
-          val cands = cont.lookup(sa.full, pv)
+        val cont = ps.byEpoch.getOrNull(e)
+        if (cont != null) {
+          val cands = cont.lookup(sa, pv)
           var i = 0
           while (i < cands.length) {
             val c = cands(i)
-            if (c.maxTs < op.srcTs &&
-                rest.forall { case (s2, p2) => c.vals(s2.full) == tup.vals(p2.full) } &&
-                math.max(c.maxTs, tup.maxTs) - math.min(c.minTs, tup.minTs) <= w) {
-              produced += ITuple.merge(tup, c)
-              n += 1
+            var ok = c.maxTs < ev.srcTs
+            var k = 1
+            while (ok && k < nPairs) {
+              ok = c.vals(node.probeTarget(k)) == tup.vals(node.probePrefix(k))
+              k += 1
             }
+            if (ok && math.max(c.maxTs, tup.maxTs) - math.min(c.minTs, tup.minTs) <= w)
+              produced += node.merge(tup, c)
             i += 1
           }
         }
         e += 1
       }
+      t += 1
     }
+    val n = produced.length
 
     val start = math.max(ev.time, ps.busyUntil)
     // probing work scales with the tuples probed (the paper's probe cost),
     // plus the matches produced
-    val dur = params.sProbe * op.tups.size + n * params.sMatch
+    val dur = params.sProbe * ev.rows.length + n * params.sMatch
     ps.busyUntil = start + dur
-    metrics.workerBusy((ev.store, ev.part)) += dur
+    metrics.workerBusy(ps.busyKey) += dur
     metrics.matches += n
     noteBacklog(ps, ev.time)
 
     val fin = start + dur
     var downstream = 0
     if (n > 0) {
-      val out = produced.result()
-      op.node.children.foreach { cid =>
-        downstream += dispatch(op.topo, op.topo.nodes(cid), op.ownLo, op.ownHi,
-                               out, op.srcTs, op.srcId, op.storeOwn, fin + params.net)
+      val out = produced.toArray
+      node.children.foreach { child =>
+        downstream += dispatch(child, ev.ownLo, ev.ownHi, out, ev.srcTs, ev.srcId, ev.storeOwn, fin + params.net)
       }
       // only combinations owned by this pass's epoch range are final results;
       // each query additionally enforces its exact window on emission (shared
       // nodes probe with the max window of their sharers)
-      if (op.node.emits.nonEmpty) {
-        val owned = out.filter { t => val e = epochOf(t.minTs); e >= op.ownLo && e <= op.ownHi }
-        if (owned.nonEmpty) op.node.emits.foreach { q =>
-          val qw = op.topo.queryWindows.getOrElse(q, Double.MaxValue)
-          val res = owned.filter(t => t.maxTs - t.minTs <= qw)
-          val k = res.size
-          if (k > 0) {
-            metrics.resultCount(q) += k
-            val lat = fin - op.srcTs
-            metrics.latencySum(q) += lat * k
-            val bucket = math.floor(fin).toLong
-            val (s0, c0) = metrics.latencyBuckets.getOrElse((q, bucket), (0.0, 0L))
-            metrics.latencyBuckets((q, bucket)) = (s0 + lat * k, c0 + k)
-            if (recordResults) res.foreach(t => metrics.results += ((q, t)))
+      var qi = 0
+      while (qi < node.emits.length) {
+        val q = node.emits(qi)
+        val qw = node.emitWindows(qi)
+        var k = 0
+        out.foreach { r =>
+          val e = epochOf(r.minTs)
+          if (e >= ev.ownLo && e <= ev.ownHi && r.maxTs - r.minTs <= qw) {
+            k += 1
+            if (recordResults) metrics.results += ((q, node.out.tuple(r)))
           }
         }
+        if (k > 0) {
+          metrics.resultCount(q) += k
+          val lat = fin - ev.srcTs
+          metrics.latencySum(q) += lat * k
+          val bucket = math.floor(fin).toLong
+          val (s0, c0) = metrics.latencyBuckets.getOrElse((q, bucket), (0.0, 0L))
+          metrics.latencyBuckets((q, bucket)) = (s0 + lat * k, c0 + k)
+        }
+        qi += 1
       }
       // MIR maintenance: the owning pass inserts every produced combination
       // (it probes the widest range — a superset of later passes' output)
-      op.node.storeInto.foreach { ref =>
-        if (op.storeOwn(ref.key)) {
-          val tgt = stores(ref.key)
+      node.storeInto.foreach { sid =>
+        if (ev.storeOwn(sid)) {
+          val tgt = stores(sid)
           out.foreach { m =>
-            val p = storePartition(ref, m.vals, tgt.dfn.parallelism)
-            enqueue(fin + params.net, 0, ref.key, p, StoreOp(epochOf(m.minTs), m))
+            enqueue(new StoreEv(fin + params.net, nextSeq(), sid, tgt.partitionOf(m), epochOf(m.minTs), m))
             metrics.storeMsgs += 1
           }
         }
@@ -388,41 +467,38 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     }
 
     // completion tracking: this message is consumed, downstream ones created
-    val rem = pendingProbes.getOrElse(op.srcId, 1) - 1 + downstream
-    if (rem <= 0) completeTuple(op.srcId, op.srcTs, fin)
-    else pendingProbes(op.srcId) = rem
+    val rem = pendingProbes.getOrElse(ev.srcId, 1) - 1 + downstream
+    if (rem <= 0) completeTuple(ev.srcId, ev.srcTs, fin)
+    else pendingProbes(ev.srcId) = rem
   }
 
   private def handleIngest(t: InTuple): Unit = {
     metrics.inputTuples += 1
-    samples.observe(epochOf(t.ts), t)
     val e0 = epochOf(t.ts)
-    val single = ITuple.single(t)
+    samples.observe(e0, t)
+    val rel = relIds.getOrElse(t.rel, -1)
+    if (rel < 0) return
+    val single = relLayouts(rel).row(t)
 
     // Algorithm 4: determine the maximal runs of window-covered epochs that
     // share a configuration object; probe once per run, and store the tuple
     // into the union of the covering configurations' base-store instances
     // (future probe passes for old epochs use the old instances).
-    val eLo = math.max(epochOf(t.ts - globalMaxWindow), configs.headOption.map(_._1).getOrElse(e0))
-    val runs = Vector.newBuilder[(Topology, Long, Long)]
+    val eLo = math.max(epochOf(t.ts - globalMaxWindow), if (schedFrom.isEmpty) e0 else schedFrom(0))
+    val covering = mutable.ArrayBuffer[(PhysicalPlan, Long, Long)]()
     var e = eLo
     while (e <= e0) {
-      configFor(e) match {
-        case Some(cfg) =>
-          var h = e
-          while (h < e0 && configFor(h + 1).exists(_ eq cfg)) h += 1
-          runs += ((cfg, e, h))
-          e = h + 1
-        case None =>
-          e += 1
-      }
+      val cfg = planFor(e)
+      if (cfg != null) {
+        var h = e
+        while (h < e0 && (planFor(h + 1) eq cfg)) h += 1
+        covering += ((cfg, e, h))
+        e = h + 1
+      } else e += 1
     }
-    val covering = runs.result()
 
-    covering.flatMap(_._1.ingest.getOrElse(t.rel, Vector.empty)).distinct.foreach { sk =>
-      val st = stores(sk)
-      val p = storePartition(st.dfn.ref, t.vals, st.dfn.parallelism)
-      enqueue(t.ts + params.net, 0, sk, p, StoreOp(e0, single))
+    covering.iterator.flatMap(_._1.ingest(rel)).distinct.foreach { sid =>
+      enqueue(new StoreEv(t.ts + params.net, nextSeq(), sid, stores(sid).partitionOf(single), e0, single))
       metrics.storeMsgs += 1
     }
 
@@ -430,13 +506,13 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     // owns that instance's maintenance inserts for this tuple's passes.
     val srcId = metrics.inputTuples
     var rootMsgs = 0
-    val ownedSoFar = mutable.Set[String]()
+    var ownedSoFar = BitSet.empty
+    val rows = Array(single)
     covering.foreach { case (cfg, lo, hi) =>
-      val own = cfg.storeIntoKeys -- ownedSoFar
-      ownedSoFar ++= cfg.storeIntoKeys
-      cfg.roots.getOrElse(t.rel, Vector.empty).foreach { rootId =>
-        rootMsgs += dispatch(cfg, cfg.nodes(rootId), lo, hi, Vector(single), t.ts, srcId,
-                             own, t.ts + params.net)
+      val own = cfg.storeIntoIds diff ownedSoFar
+      ownedSoFar = ownedSoFar union cfg.storeIntoIds
+      cfg.roots(rel).foreach { root =>
+        rootMsgs += dispatch(root, lo, hi, rows, t.ts, srcId, own, t.ts + params.net)
       }
     }
     if (rootMsgs > 0) pendingProbes(srcId) = rootMsgs
@@ -445,14 +521,16 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
   // ---- eviction / gc ---------------------------------------------------------
   private def evict(now: Double): Unit = {
     val slack = params.epochLen + 10 * params.net
-    stores.values.foreach { st =>
-      val cut = now - st.dfn.window - slack
-      st.parts.foreach { ps =>
-        val dead = ps.byEpoch.keys.filter(e => (e + 1) * params.epochLen < cut).toVector
-        dead.foreach { e =>
-          val n = ps.byEpoch.remove(e).map(_.size).getOrElse(0)
-          st.stored -= n
-          metrics.storedNow -= n
+    stores.foreach { st =>
+      if (st != null) {
+        val cut = now - st.dfn.window - slack
+        st.parts.foreach { ps =>
+          val dead = ps.byEpoch.keys.filter(e => (e + 1) * params.epochLen < cut).toVector
+          dead.foreach { e =>
+            val n = ps.byEpoch.remove(e).map(_.size).getOrElse(0)
+            st.stored -= n
+            metrics.storedNow -= n
+          }
         }
       }
     }
@@ -461,13 +539,16 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     val curEpoch = epochOf(now)
     val horizon = curEpoch - math.ceil((globalMaxWindow + slack) / params.epochLen).toLong - 1
     val oldKeys = configs.keys.filter(_ <= horizon).toVector.sorted
-    if (oldKeys.size > 1) oldKeys.dropRight(1).foreach(configs.remove)
-    val referenced = configs.values.flatMap(_.storeKeys).toSet
-    val dead = stores.keys.filterNot(referenced).toVector
-    dead.foreach { k =>
-      val st = stores(k)
-      metrics.storedNow -= st.stored
-      stores.remove(k)
+    if (oldKeys.size > 1) {
+      oldKeys.dropRight(1).foreach(configs.remove)
+      rescheduled()
+    }
+    val referenced = configs.values.foldLeft(BitSet.empty)(_ union _.storeIds)
+    stores.indices.foreach { id =>
+      if (stores(id) != null && !referenced(id)) {
+        metrics.storedNow -= stores(id).stored
+        stores(id) = null
+      }
     }
   }
 
@@ -491,7 +572,7 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
 
     var running = true
     while (running) {
-      val evT = if (pq.nonEmpty) pq.head.time else Double.MaxValue
+      val evT = if (!pq.isEmpty) pq.peek().time else Double.MaxValue
       val inT = if (inIdx < input.size) input(inIdx).ts else Double.MaxValue
       if (evT == Double.MaxValue && inT == Double.MaxValue) running = false
       else {
@@ -500,14 +581,11 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
         else {
           advanceEpochs(t)
           if (evT <= inT) {
-            val ev = pq.dequeue()
-            ev.payload match {
-              case s: StoreOp =>
-                metrics.inFlight -= 1
-                handleStore(ev, s)
-              case p: ProbeOp =>
-                metrics.inFlight -= p.tups.size
-                handleProbe(ev, p)
+            val ev = pq.poll()
+            metrics.inFlight -= ev.size
+            ev match {
+              case s: StoreEv => handleStore(s)
+              case p: ProbeEv => handleProbe(p)
             }
           } else {
             handleIngest(input(inIdx))
@@ -527,5 +605,5 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
 }
 
 private object EventSim {
-  val emptyBuf: mutable.ArrayBuffer[ITuple] = mutable.ArrayBuffer.empty
+  val emptyBuf: mutable.ArrayBuffer[Row] = mutable.ArrayBuffer.empty
 }

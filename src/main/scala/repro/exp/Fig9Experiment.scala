@@ -45,14 +45,12 @@ object Fig9Experiment {
 
     // Individual optimization: each query solved on its own problem, no
     // sharing across queries — total cost is the plain sum.
-    val perQuery = queries.map { q =>
-      val p = MqoProblem.build(Seq(q), catalog, stats)
-      p -> Solver.solve(p, math.max(10000L, nodeBudget / math.max(1, queries.size)))
-    }
-    val individual = perQuery.map(_._2.cost).sum
+    val perQuery = Planner.individual(queries, catalog, stats,
+                                      math.max(10000L, nodeBudget / math.max(1, queries.size)))
+    val individual = perQuery.map(_.solution.cost).sum
     // The individually-optimal plans with steps deduplicated are a feasible
     // shared deployment — an upper bound any seeded anytime solver reaches.
-    val sharedUpper = Solver.sharedTotal(perQuery)
+    val sharedUpper = Planner.sharedFromIndividual(perQuery).sharedCost
 
     Row(
       nRels = nRels,

@@ -77,7 +77,6 @@ object Solver {
       val candCosts: Array[Array[Double]], // their costs, in `costed` order
       val candCost: Array[Double],        // `Cand.cost`
       val candMirs: Array[Array[Int]],    // MIR ids, in `mirsUsed` order
-      val candMirSet: Array[Int],         // equal iff `mirsUsed` are equal
       val mirSlots: Array[Array[Int]],
       val stepKeys: Array[StepKey],
   ) {
@@ -95,15 +94,17 @@ object Solver {
       val mirSlots = mutable.ArrayBuffer[Array[Int]]()
       val stepIds = mutable.HashMap[StepKey, Int]()
       val stepKeys = mutable.ArrayBuffer[StepKey]()
-      val mirSetIds = mutable.HashMap[Vector[String], Int]()
       val first, count = mutable.ArrayBuilder.make[Int]
       val candSteps = mutable.ArrayBuilder.make[Array[Int]]
       val candCosts = mutable.ArrayBuilder.make[Array[Double]]
       val candCost = mutable.ArrayBuilder.make[Double]
       val candMirs = mutable.ArrayBuilder.make[Array[Int]]
-      val candMirSet = mutable.ArrayBuilder.make[Int]
 
-      def stepId(k: StepKey): Int = stepIds.getOrElseUpdate(k, { stepKeys += k; stepKeys.size - 1 })
+      def stepId(k: StepKey): Int = stepIds.getOrElse(k, {
+        stepIds(k) = stepKeys.size
+        stepKeys += k
+        stepKeys.size - 1
+      })
       def mirId(mk: String): Int = mirIds.getOrElse(mk, {
         val id = mirSlots.size
         mirIds(mk) = id
@@ -124,13 +125,12 @@ object Solver {
           candCosts += c.costed.map(_._2).toArray
           candCost += c.cost
           candMirs += c.mirsUsed.map(mirId).toArray
-          candMirSet += mirSetIds.getOrElseUpdate(c.mirsUsed, mirSetIds.size)
         }
         nCands += cands.size
         s += 1
       }
       new Space(slots.toArray, p.querySlots.size, first.result(), count.result(), candSteps.result(),
-                candCosts.result(), candCost.result(), candMirs.result(), candMirSet.result(),
+                candCosts.result(), candCost.result(), candMirs.result(),
                 mirSlots.toArray, stepKeys.toArray)
     }
   }
@@ -344,7 +344,8 @@ object Solver {
           var bestMarg = marginal(cur)
           var i = 0
           while (i < sp.count(s)) {
-            if (i != curIdx && sp.candMirSet(f + i) == sp.candMirSet(cur)) {
+            // equal MIR id arrays iff equal `mirsUsed`
+            if (i != curIdx && java.util.Arrays.equals(sp.candMirs(f + i), sp.candMirs(cur))) {
               val mg = marginal(f + i)
               if (mg < bestMarg - Eps) { bestMarg = mg; bestIdx = i }
             }

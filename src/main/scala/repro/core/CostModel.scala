@@ -1,12 +1,17 @@
 package repro.core
 
-/** Probe cost model (Equation 1).
+/** Probe cost model (Equation 1) and the MIR insert cost.
   *
   * Step t of a probe order sends the partial join of the first t elements —
   * restricted to combinations where the start tuple arrived last, which is a
   * 1/|covered relations| fraction of the full join — to the store of element
   * t+1. If the target store's partitioning attribute cannot be derived from
   * the prefix tuple, it must be broadcast to all partitions (factor χ).
+  *
+  * A maintenance order of an MIR pays one more step: inserting the subresult
+  * it produces into the MIR's store (Section IV: an MIR store pays off when
+  * the intermediate result is small). This object is the only place that
+  * prices either kind of step; `costed` gives a candidate's full cost vector.
   */
 object CostModel {
 
@@ -29,4 +34,28 @@ object CostModel {
   /** PCost of a decorated probe order: sum of its step costs. */
   def orderCost(d: Decorated, stats: Stats, catalog: Catalog): Double =
     d.steps.map(stepCost(_, stats, catalog)).sum
+
+  /** Key of the step that inserts the results of the maintenance orders of
+    * MIR `mirKey` starting at `start` into the MIR's store.
+    */
+  def insertKey(mirKey: String, start: String): StepKey =
+    StepKey(Vector(start), s"insert:$mirKey", "", routed = true)
+
+  /** Tuples inserted per window by one maintenance order of `sub`:
+    * |⋈ sub| · (1 / #relations), the results whose start tuple arrived last.
+    */
+  def insertCost(sub: Subquery, stats: Stats): Double =
+    stats.joinCard(sub.relations, sub.predicates) / sub.relations.size
+
+  /** (step key, cost) pairs a candidate of `slot` pays: Eq. 1 for each probe
+    * step of `sub`, then, for a maintenance slot, its insert step.
+    */
+  def costed(slot: SlotId, sub: Subquery, steps: Vector[Step], stats: Stats,
+             catalog: Catalog): Vector[(StepKey, Double)] = {
+    val probes = steps.map(s => s.key -> stepCost(s, stats, catalog))
+    slot match {
+      case MirSlot(mk, start) => probes :+ (insertKey(mk, start) -> insertCost(sub, stats))
+      case _: QuerySlot       => probes
+    }
+  }
 }

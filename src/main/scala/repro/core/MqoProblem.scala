@@ -21,15 +21,14 @@ final case class MirSlot(mirKey: String, start: String) extends SlotId {
 /** A candidate probe order for a slot.
   *
   * @param steps  the physical probe steps (drive the topology)
-  * @param costed (step key, cost) pairs the ILP accounts for: the probe steps
-  *               plus, for maintenance orders, the insert step that ships the
-  *               produced subresult into the MIR store (Section IV: an MIR
-  *               store pays off when the intermediate result is small)
+  * @param costed (step key, cost) pairs the ILP accounts for, as
+  *               `CostModel.costed` prices them: the probe steps plus, for
+  *               maintenance orders, the insert step that ships the produced
+  *               subresult into the MIR store
   */
 final case class Cand(d: Decorated, steps: Vector[Step], costed: Vector[(StepKey, Double)],
                       mirsUsed: Vector[String]) {
   def cost: Double = costed.map(_._2).sum
-  def stepKeys: Vector[StepKey] = costed.map(_._1)
   override def toString: String = d.toString
 }
 
@@ -44,7 +43,6 @@ final case class MqoProblem(
     mirSlots: Map[String, Vector[SlotId]], // mirKey -> maintenance slots
     slotCands: Map[SlotId, Vector[Cand]],
     stepCost: Map[StepKey, Double],
-    stepByKey: Map[StepKey, Step],
     mirByKey: Map[String, Mir],
 ) {
   /** ILP x-variables: one per (slot, candidate). */
@@ -85,19 +83,14 @@ object MqoProblem {
     val slotCands = mutable.LinkedHashMap[SlotId, Vector[Cand]]()
     val mirSlots = mutable.LinkedHashMap[String, Vector[SlotId]]()
 
-    def mkCands(sub: Subquery, usableMirs: Set[Mir], start: String,
-                insertInto: Option[Mir]): Vector[Cand] =
+    def mkCands(sub: Subquery, usableMirs: Set[Mir], slot: SlotId): Vector[Cand] =
       ProbeOrders
-        .candidatesFrom(sub, usableMirs, start)
+        .candidatesFrom(sub, usableMirs, slot.start)
         .flatMap(po => ProbeOrders.decorate(po, partsOf))
         .map { d =>
           val steps = d.steps
-          val costed = steps.map(s => s.key -> CostModel.stepCost(s, stats, catalog)) ++
-            insertInto.map { m =>
-              StepKey(Vector(start), s"insert:${m.key}", "", routed = true) ->
-                stats.joinCard(sub.relations, sub.predicates) / sub.relations.size
-            }
-          Cand(d, steps, costed, d.mirsUsed.map(_.key).toVector.sorted)
+          Cand(d, steps, CostModel.costed(slot, sub, steps, stats, catalog),
+               d.mirsUsed.map(_.key).toVector.sorted)
         }
 
     // Maintenance slots for a non-base MIR (recursively for MIRs its own
@@ -112,7 +105,7 @@ object MqoProblem {
       val pool = mirByKey.values.toSet
       val slots = m.relations.map { start =>
         val sid: SlotId = MirSlot(mirKey, start)
-        val cands = mkCands(sub, pool, start, insertInto = Some(m))
+        val cands = mkCands(sub, pool, sid)
         slotCands(sid) = cands
         cands.foreach(_.mirsUsed.foreach(ensureMirSlots))
         sid
@@ -125,7 +118,7 @@ object MqoProblem {
       start <- q.relations.toVector.sorted
     } yield {
       val sid: SlotId = QuerySlot(q.name, start)
-      val cands = mkCands(Subquery.ofQuery(q), perQueryMirs(q.name), start, insertInto = None)
+      val cands = mkCands(Subquery.ofQuery(q), perQueryMirs(q.name), sid)
       require(cands.nonEmpty, s"no probe order candidates for ${q.name} from $start — disconnected query?")
       slotCands(sid) = cands
       cands.foreach(_.mirsUsed.foreach(ensureMirSlots))
@@ -135,16 +128,12 @@ object MqoProblem {
     // Shared step cost table. Step cost must be identical wherever the same
     // step key appears (it is a function of the key's content).
     val stepCost = mutable.Map[StepKey, Double]()
-    val stepByKey = mutable.Map[StepKey, Step]()
-    for (cands <- slotCands.values; c <- cands) {
-      for ((k, cost) <- c.costed) {
-        stepCost.get(k).foreach { prev =>
-          require(math.abs(prev - cost) <= 1e-6 * math.max(1.0, math.abs(prev)),
-                  s"inconsistent cost for shared step $k: $prev vs $cost")
-        }
-        stepCost(k) = cost
+    for (cands <- slotCands.values; c <- cands; (k, cost) <- c.costed) {
+      stepCost.get(k).foreach { prev =>
+        require(math.abs(prev - cost) <= 1e-6 * math.max(1.0, math.abs(prev)),
+                s"inconsistent cost for shared step $k: $prev vs $cost")
       }
-      c.steps.foreach(s => stepByKey(s.key) = s)
+      stepCost(k) = cost
     }
 
     MqoProblem(
@@ -155,7 +144,6 @@ object MqoProblem {
       mirSlots = mirSlots.toMap,
       slotCands = slotCands.toMap,
       stepCost = stepCost.toMap,
-      stepByKey = stepByKey.toMap,
       mirByKey = mirByKey.toMap,
     )
   }

@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.ilp.Solver
-import scala.collection.mutable
 
 /** The set of probe orders actually installed (query orders + MIR maintenance
   * orders), produced by one of the planning strategies.
@@ -14,12 +13,10 @@ final case class Selection(
   def distinctSteps: Map[StepKey, Step] =
     orders.flatMap { case (_, c) => c.steps.map(s => s.key -> s) }.toMap
 
-  /** Distinct costed steps (probe steps + MIR insert steps). */
-  def distinctCosted: Map[StepKey, Double] =
-    orders.flatMap(_._2.costed).toMap
-
-  /** Probe cost when identical steps are executed once (Shared / CMQO). */
-  def sharedCost: Double = distinctCosted.values.sum
+  /** Probe cost when identical steps (probe steps and MIR insert steps) are
+    * executed once (Shared / CMQO).
+    */
+  def sharedCost: Double = orders.flatMap(_._2.costed).toMap.values.sum
 
   /** Probe cost when every probe order pays its own steps. */
   def unsharedCost: Double = orders.map(_._2.cost).sum
@@ -56,24 +53,15 @@ object Planner {
       Planned(p, Solver.solve(p, nodeBudget))
     }
 
-  /** Re-cost an existing selection under (possibly newer) statistics: sum of
-    * its distinct probe-step costs plus the MIR insert costs. Used for
-    * reconfiguration hysteresis (only rewire on a clear improvement).
+  /** Re-cost an existing selection under (possibly newer) statistics: every
+    * order is re-priced by `CostModel.costed` and the distinct steps are
+    * summed as `sharedCost` sums them. Used for reconfiguration hysteresis
+    * (only rewire on a clear improvement).
     */
-  def selectionCost(sel: Selection, stats: Stats, catalog: Catalog): Double = {
-    val costs = mutable.Map[StepKey, Double]()
-    sel.orders.foreach { case (sid, c) =>
-      c.steps.foreach(s => costs(s.key) = CostModel.stepCost(s, stats, catalog))
-      sid match {
-        case MirSlot(mk, start) =>
-          val sub = c.d.po.sub
-          costs(StepKey(Vector(start), s"insert:$mk", "", routed = true)) =
-            stats.joinCard(sub.relations, sub.predicates) / sub.relations.size
-        case _ =>
-      }
-    }
-    costs.values.sum
-  }
+  def selectionCost(sel: Selection, stats: Stats, catalog: Catalog): Double =
+    sel.copy(orders = sel.orders.map { case (sid, c) =>
+      sid -> c.copy(costed = CostModel.costed(sid, c.d.po.sub, c.steps, stats, catalog))
+    }).sharedCost
 
   /** Merge individually optimal plans into one shared selection: stores and
     * identical steps are deduplicated, but plan *choice* stays locally optimal.

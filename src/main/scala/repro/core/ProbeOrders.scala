@@ -81,20 +81,18 @@ final case class Step(
 
   def targetRef: StoreRef = StoreRef(target, targetPart)
 
-  /** True when the partitioning value of the target store is derivable from
-    * the prefix tuple via the subquery's attribute-equality classes; false
-    * means the prefix tuple must be broadcast to all target partitions.
+  /** The prefix attribute whose value routes this step: one in the
+    * attribute-equality class (under the subquery's predicates) of the target
+    * store's partitioning attribute. None means the prefix tuple must be
+    * broadcast to all target partitions.
     */
-  def routed: Boolean = targetPart.exists { p =>
-    val covered = coveredRels
-    AttrEq.classOf(sub.predicates, p).exists(a => covered(a.rel))
-  }
-
-  /** The prefix attribute whose value routes this step (None = broadcast). */
   def routeAttr: Option[Attr] = targetPart.flatMap { p =>
     val covered = coveredRels
     AttrEq.classOf(sub.predicates, p).find(a => covered(a.rel))
   }
+
+  /** True when the step is routed to one target partition (see `routeAttr`). */
+  def routed: Boolean = routeAttr.isDefined
 
   def key: StepKey = {
     val prefixKey = prefixElems.head.key +: prefixElems.tail.zip(prefixParts).map {

@@ -60,9 +60,6 @@ final class Metrics {
     */
   val tupleLatencyBuckets = mutable.Map[Long, (Double, Long)]()
   var tuplesCompleted = 0L
-
-  def tupleLatencyAt(second: Long): Option[Double] =
-    tupleLatencyBuckets.get(second).collect { case (s, n) if n > 0 => s / n }
   var storedNow = 0L
   var inFlight = 0L
   var peakStored = 0L
@@ -75,12 +72,6 @@ final class Metrics {
   val results = mutable.ArrayBuffer[(String, ITuple)]() // only when recording
 
   def totalBusy: Double = workerBusy.values.sum
-  def meanLatency(q: String): Double =
-    if (resultCount(q) == 0) Double.NaN else latencySum(q) / resultCount(q)
-  def meanLatencyAll: Double = {
-    val n = resultCount.values.sum
-    if (n == 0) Double.NaN else latencySum.values.sum / n
-  }
 }
 
 /** Hook invoked at the start of every epoch (statistics evaluation and
@@ -164,8 +155,6 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
 
   def configFor(e: Long): Option[Topology] = Option(planFor(e)).map(_.topo)
 
-  def installedConfigs: Int = configs.size
-
   /** Store instances maintained by *every* configuration governing the epoch
     * range — i.e. instances whose per-epoch content is complete over it.
     */
@@ -237,10 +226,6 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     val id = storeId(dfn.key)
     if (stores(id) == null) stores(id) = new StoreInst(dfn)
   }
-
-  /** Current number of tuples held by a store (all partitions/epochs). */
-  def storedIn(storeKey: String): Long =
-    storeIdOf.get(storeKey).flatMap(id => Option(stores(id))).map(_.stored).getOrElse(0L)
 
   def activeStoreKeys: Set[String] = stores.iterator.filter(_ != null).map(_.dfn.key).toSet
 

@@ -120,7 +120,7 @@ class CostModelSpec extends AnyFunSuite {
     val st = Mir.of(q1, Set("S", "T")).key
     val cands = p.slotCands(MirSlot(st, "S"))
     val insert = cands.head.costed.last
-    assert(insert._1.target == s"insert:$st")
+    assert(insert._1 == CostModel.insertKey(st, "S"))
     assert(insert._2 === 150.0 / 2) // |S⋈T| = 150, start-latest fraction 1/2
   }
 }

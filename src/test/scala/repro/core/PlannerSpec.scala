@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{TestData}
-import repro.data.Artificial
+import repro.data.{Artificial, Fig9Env}
 import repro.sim.{EventSim, SimParams}
 
 /** The three planning strategies (Independent / Shared / CMQO) must all be
@@ -97,5 +97,33 @@ class PlannerSpec extends AnyFunSuite {
       case (QuerySlot("q1", _), cs) => cs.flatMap(_.d.parts.flatten)
     }.flatten.toSet
     assert(q1Parts.contains(Attr("T", "c"))) // q2's join attribute offered to q1
+  }
+
+  test("re-costing a plan under its own statistics reproduces the solver's cost") {
+    // the adaptive hysteresis compares a new plan's cost with this re-cost
+    val window = 5.0
+    val card = 200.0 * window
+    val fig8b = (Vector(Artificial.query(window)), Artificial.catalog(), Stats(
+      Map("R" -> 2000.0 * window, "S" -> card, "T" -> card, "U" -> card),
+      Map(Pred.of("R", "a", "S", "a") -> 1.0 / card,
+          Pred.of("S", "b", "T", "b") -> 1.0 / card,
+          Pred.of("T", "c", "U", "c") -> 25.0 / card)))
+    // Fig 9 queries with selective joins: small intermediate results, so the
+    // plans maintain MIRs
+    val selective = Stats((0 until 10).map(Fig9Env.relName(_) -> 100.0).toMap, Map.empty, defaultSel = 0.001)
+    val fig9 = Seq((5, 2L), (5, 4L), (10, 2L)).map { case (nQ, seed) =>
+      (Fig9Env.randomQueries(10, nQ, 4, seed), Fig9Env.catalog(10), selective)
+    }
+    for ((queries, cat, st) <- fig8b +: fig9) {
+      val planned = Planner.mqo(queries, cat, st)
+      assert(planned.selection.orders.exists(_._1.isInstanceOf[MirSlot]))
+      val cost = planned.solution.cost
+      assert(math.abs(Planner.selectionCost(planned.selection, st, cat) - cost) <= 1e-9 * cost)
+      planned.problem.slotCands.foreach {
+        case (MirSlot(mk, start), cands) =>
+          cands.foreach(c => assert(c.costed.last._1 == CostModel.insertKey(mk, start)))
+        case _ =>
+      }
+    }
   }
 }

@@ -35,12 +35,8 @@ final case class Topology(
     nodes: Map[String, TopoNode],
     queryWindows: Map[String, Double],
 ) {
-  def maxWindow: Double = if (queryWindows.isEmpty) 0.0 else queryWindows.values.max
+  val maxWindow: Double = if (queryWindows.isEmpty) 0.0 else queryWindows.values.max
   def storeKeys: Set[String] = stores.keySet
-
-  /** MIR store instances some node of this topology inserts into. */
-  lazy val storeIntoKeys: Set[String] =
-    nodes.values.flatMap(_.storeInto.map(_.key)).toSet
 }
 
 object Topology {

@@ -3,7 +3,7 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.data.StreamData
-import repro.sim.{EventSim, InTuple, SimParams}
+import repro.sim.{EventSim, InTuple, Metrics, SimParams}
 
 /** Driver for the multi-query performance experiment (Section VII.A,
   * Fig. 7b–7d): TPC-H-lite stream workloads executed on the topology
@@ -56,47 +56,37 @@ object Fig7Experiment {
     Workload(queries, StreamData.tpchCatalog(), StreamData.tpchStats(sf, window, horizon), streams)
   }
 
-  private def runSim(w: Workload, sel: Selection, rels: Set[String], params: SimParams) = {
-    val sim = new EventSim(w.catalog, params)
-    sim.installConfig(0L, Topology.build(sel, w.catalog))
-    val input = StreamData.merged(w.streams.view.filterKeys(rels).toMap)
-    sim.run(input)
+  private val NodeBudget = 200000L
+
+  /** The three strategies, each as the deployments it runs: Independent one
+    * per query, Shared the individually optimal plans merged, CMQO the
+    * global optimum.
+    */
+  private def lineUp(queries: Vector[Query], catalog: Catalog, stats: Stats): Vector[(String, Vector[Selection])] = {
+    val perQuery = Planner.individual(queries, catalog, stats, NodeBudget)
+    Vector(
+      "Independent" -> perQuery.map(_.selection),
+      "Shared" -> Vector(Planner.sharedFromIndividual(perQuery)),
+      "CMQO" -> Vector(Planner.mqo(queries, catalog, stats, NodeBudget).selection),
+    )
   }
 
-  def run(w: Workload, params: SimParams = SimParams(), nodeBudget: Long = 200000L): Vector[StrategyResult] = {
-    val n = w.queries.size
+  /** Simulate one deployment over the streams of its queries' relations. */
+  private def runSim(w: Workload, sel: Selection): Metrics = {
+    val sim = new EventSim(w.catalog, SimParams())
+    sim.installConfig(0L, Topology.build(sel, w.catalog))
+    val rels = sel.queries.flatMap(_.relations).toSet
+    sim.run(StreamData.merged(w.streams.view.filterKeys(rels).toMap))
+  }
+
+  def run(w: Workload): Vector[StrategyResult] = {
     val usedRels = w.queries.flatMap(_.relations).toSet
     // The workload's distinct input volume — the same for every strategy, so
     // throughput ∝ 1 / total work (the paper's fixed cluster).
     val inputSize = w.streams.view.filterKeys(usedRels).values.map(_.size.toLong).sum
-
-    // Independent: one deployment per query over that query's streams.
-    val perQuery = Planner.individual(w.queries, w.catalog, w.stats, nodeBudget)
-    val indepMetrics = perQuery.map { pl =>
-      runSim(w, pl.selection, pl.problem.queries.flatMap(_.relations).toSet, params)
+    lineUp(w.queries, w.catalog, w.stats).map { case (name, sels) =>
+      result(name, w.queries.size, inputSize, sels.map(runSim(w, _)))
     }
-    val indep = StrategyResult(
-      "Independent", n,
-      indepMetrics.map(_.tuplesSent).sum,
-      indepMetrics.map(_.totalBusy).sum,
-      inputSize / math.max(1e-9, indepMetrics.map(_.totalBusy).sum),
-      indepMetrics.map(_.peakStored).sum,
-      1000.0 * indepMetrics.map(m => m.latencySum.values.sum).sum /
-        math.max(1, indepMetrics.map(_.resultCount.values.sum).sum),
-      indepMetrics.flatMap(_.resultCount).groupMapReduce(_._1)(_._2)(_ + _),
-    )
-
-    // Shared: merge the individually optimal plans into one deployment.
-    val sharedSel = Planner.sharedFromIndividual(perQuery)
-    val sharedM = runSim(w, sharedSel, usedRels, params)
-    val shared = result("Shared", n, inputSize, sharedM)
-
-    // CMQO: global optimization.
-    val mqoSel = Planner.mqo(w.queries, w.catalog, w.stats, nodeBudget).selection
-    val mqoM = runSim(w, mqoSel, usedRels, params)
-    val mqo = result("CMQO", n, inputSize, mqoM)
-
-    Vector(indep, shared, mqo)
   }
 
   /** Probe work at Spark scale: the exact number of probe tuples each
@@ -112,7 +102,7 @@ object Fig7Experiment {
   val sparkHeader: String = "strategy    \t   probeTuples\t steps"
 
   def sparkProbeWork(spark: SparkSession, sf: Double, horizon: Double, window: Double,
-                     nQueries: Int, seed: Long, nodeBudget: Long = 200000L): Vector[SparkWork] = {
+                     nQueries: Int, seed: Long): Vector[SparkWork] = {
     import repro.runtime.StreamJoinExec
     val queries = StreamData.randomTpchQueries(nQueries, Seq(3, 3, 4), window, seed)
     val catalog = StreamData.tpchCatalog()
@@ -123,31 +113,21 @@ object Fig7Experiment {
     def countStep(s: Step): Long =
       memo.getOrElseUpdate(s.key, StreamJoinExec.stepSentCount(s, dfs, catalog))
 
-    val perQuery = Planner.individual(queries, catalog, stats, nodeBudget)
-    val indep = perQuery.map { pl =>
-      pl.selection.distinctSteps.values.map(countStep).sum
-    }.sum
-    val indepSteps = perQuery.map(_.selection.distinctSteps.size).sum
-
-    val sharedSteps = Planner.sharedFromIndividual(perQuery).distinctSteps
-    val shared = sharedSteps.values.map(countStep).sum
-
-    val mqoSteps = Planner.mqo(queries, catalog, stats, nodeBudget).selection.distinctSteps
-    val mqo = mqoSteps.values.map(countStep).sum
-
-    Vector(
-      SparkWork("Independent", indep, indepSteps),
-      SparkWork("Shared", shared, sharedSteps.size),
-      SparkWork("CMQO", mqo, mqoSteps.size),
-    )
+    lineUp(queries, catalog, stats).map { case (name, sels) =>
+      val steps = sels.map(_.distinctSteps)
+      SparkWork(name, steps.map(_.values.map(countStep).sum).sum, steps.map(_.size).sum)
+    }
   }
 
-  private def result(name: String, n: Int, inputSize: Long, m: repro.sim.Metrics): StrategyResult =
+  /** One strategy's row, summed over its deployments. */
+  private def result(name: String, n: Int, inputSize: Long, ms: Vector[Metrics]): StrategyResult = {
+    val busy = ms.map(_.totalBusy).sum
     StrategyResult(
-      name, n, m.tuplesSent, m.totalBusy,
-      inputSize / math.max(1e-9, m.totalBusy),
-      m.peakStored,
-      1000.0 * m.latencySum.values.sum / math.max(1, m.resultCount.values.sum),
-      m.resultCount.toMap,
+      name, n, ms.map(_.tuplesSent).sum, busy,
+      inputSize / math.max(1e-9, busy),
+      ms.map(_.peakStored).sum,
+      1000.0 * ms.map(_.latencySum.values.sum).sum / math.max(1, ms.map(_.resultCount.values.sum).sum),
+      ms.flatMap(_.resultCount).groupMapReduce(_._1)(_._2)(_ + _),
     )
+  }
 }

@@ -32,7 +32,10 @@ object Fig9Experiment {
   val header: String =
     "rels\t  nQ\tsz\tindividualCost\t     mqoCost\t  save\t   vars\t orders\t  buildMs\t  solveMs\t  totalMs\toptimal"
 
-  def run(nRels: Int, nQ: Int, size: Int, seed: Long, nodeBudget: Long = 300000L): Row = {
+  /** Solver node budget of the global problem; the individual problems share it. */
+  private val NodeBudget = 300000L
+
+  def run(nRels: Int, nQ: Int, size: Int, seed: Long): Row = {
     val catalog = Fig9Env.catalog(nRels)
     val stats = Fig9Env.stats(nRels)
     val queries = Fig9Env.randomQueries(nRels, nQ, size, seed)
@@ -40,13 +43,13 @@ object Fig9Experiment {
     val t0 = System.nanoTime()
     val problem = MqoProblem.build(queries, catalog, stats)
     val t1 = System.nanoTime()
-    val sol = Solver.solve(problem, nodeBudget)
+    val sol = Solver.solve(problem, NodeBudget)
     val t2 = System.nanoTime()
 
     // Individual optimization: each query solved on its own problem, no
     // sharing across queries — total cost is the plain sum.
     val perQuery = Planner.individual(queries, catalog, stats,
-                                      math.max(10000L, nodeBudget / math.max(1, queries.size)))
+                                      math.max(10000L, NodeBudget / math.max(1, queries.size)))
     val individual = perQuery.map(_.solution.cost).sum
     // The individually-optimal plans with steps deduplicated are a feasible
     // shared deployment — an upper bound any seeded anytime solver reaches.

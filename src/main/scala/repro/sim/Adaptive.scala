@@ -10,15 +10,19 @@ import repro.core._
   * `queriesAt` models query arrival/expiry (Section VI.B): it returns the
   * query set active at a point in time; removed queries drop out of the
   * optimizer input and their stores are reference-count-collected by the sim.
+  *
+  * Every plan is solved with `AdaptiveController.NodeBudget` nodes. A plan
+  * for an unchanged query set is installed only when its cost is below
+  * `AdaptiveController.Hysteresis` times the installed plan's cost re-priced
+  * under the same statistics.
   */
 final class AdaptiveController(
     queriesAt: Double => Vector[Query],
     catalog: Catalog,
     initialStats: Stats,
-    nodeBudget: Long = 200000L,
-    hysteresis: Double = 0.9, // rewire only when ≥10% estimated improvement
     useEstimates: Boolean = true, // false: plan from initialStats only (query changes still apply)
 ) extends Controller {
+  import AdaptiveController._
 
   private var lastPlanKey: Option[(Set[String], Set[StepKey])] = None
   private var lastSelection: Option[Selection] = None
@@ -49,11 +53,11 @@ final class AdaptiveController(
 
     stats.foreach { st =>
       reoptimizations += 1
-      val planned = Planner.mqo(qs, catalog, st, nodeBudget)
+      val planned = Planner.mqo(qs, catalog, st, NodeBudget)
       val key = (qs.map(_.name).toSet, planned.solution.steps)
       val queriesChanged = lastPlanKey.forall(_._1 != qs.map(_.name).toSet)
       val clearlyBetter = lastSelection.forall { cur =>
-        planned.solution.cost < hysteresis * Planner.selectionCost(cur, st, catalog)
+        planned.solution.cost < Hysteresis * Planner.selectionCost(cur, st, catalog)
       }
       if (!lastPlanKey.contains(key) && (queriesChanged || clearlyBetter)) {
         val topo = Topology.build(planned.selection, catalog)
@@ -85,13 +89,22 @@ final class AdaptiveController(
   }
 }
 
+object AdaptiveController {
+  /** Solver node budget of every Fig 8 plan, static and adaptive, so the two
+    * strategies differ only in when they re-plan.
+    */
+  val NodeBudget = 200000L
+  /** Rewire only for an estimated improvement of at least 10%. */
+  val Hysteresis = 0.9
+}
+
 /** Static strategy: one configuration from the initial statistics, never
-  * re-optimized (the paper's "S" baseline in Fig. 8).
+  * re-optimized (the paper's "S" baseline in Fig. 8), solved with the
+  * adaptive plans' budget, `AdaptiveController.NodeBudget`.
   */
 object StaticPlan {
-  def install(sim: EventSim, queries: Vector[Query], catalog: Catalog, stats: Stats,
-              nodeBudget: Long = 200000L): Topology = {
-    val planned = Planner.mqo(queries, catalog, stats, nodeBudget)
+  def install(sim: EventSim, queries: Vector[Query], catalog: Catalog, stats: Stats): Topology = {
+    val planned = Planner.mqo(queries, catalog, stats, AdaptiveController.NodeBudget)
     val topo = Topology.build(planned.selection, catalog)
     sim.installConfig(0L, topo)
     topo

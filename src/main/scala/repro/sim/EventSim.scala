@@ -67,11 +67,10 @@ final class Metrics {
   /** Largest per-worker queue backlog observed, in tuple-equivalents. */
   var peakBacklog = 0L
   var failedAt: Option[Double] = None
-  val workerBusy = mutable.Map[(String, Int), Double]().withDefaultValue(0.0)
+  /** Service time of all store and probe work, summed over the workers. */
+  var totalBusy = 0.0
   var inputTuples = 0L
   val results = mutable.ArrayBuffer[(String, ITuple)]() // only when recording
-
-  def totalBusy: Double = workerBusy.values.sum
 }
 
 /** Hook invoked at the start of every epoch (statistics evaluation and
@@ -123,34 +122,36 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
   private val relLayouts: Array[Layout] = relNames.map(r => layout(Vector(r))).toArray
 
   // ---- configuration schedule -------------------------------------------
-  private val configs = mutable.TreeMap[Long, PhysicalPlan]()
-  // `configs` as arrays (ascending start epoch) for the per-tuple lookups
-  private var schedFrom = Array.empty[Long]
-  private var schedPlan = Array.empty[PhysicalPlan]
-  private var globalMaxWindow = 0.0
+  /** A configuration governing the epochs from `from` until the next one starts. */
+  private final class Scheduled(val from: Long, val plan: PhysicalPlan)
 
-  private def rescheduled(): Unit = {
-    schedFrom = configs.keys.toArray
-    schedPlan = configs.values.toArray
-    globalMaxWindow = if (configs.isEmpty) 0.0 else schedPlan.map(_.maxWindow).max
+  // ascending in `from`
+  private var schedule = Array.empty[Scheduled]
+
+  private def globalMaxWindow: Double = {
+    var w = 0.0
+    var i = 0
+    while (i < schedule.length) { w = math.max(w, schedule(i).plan.topo.maxWindow); i += 1 }
+    w
   }
 
   /** Install a configuration governing every epoch from `fromEpoch` onward
-    * (any previously installed configuration with a later start is
-    * superseded — relevant for retroactive bootstrap installs).
+    * (any previously installed configuration with a later or equal start is
+    * superseded — relevant for retroactive bootstrap installs). A topology
+    * object that is still installed keeps its compiled plan.
     */
   def installConfig(fromEpoch: Long, topo: Topology): Unit = {
-    configs.keys.filter(_ >= fromEpoch).toVector.foreach(configs.remove)
+    val kept = schedule.filter(_.from < fromEpoch)
     topo.stores.values.foreach(ensureStore)
-    configs(fromEpoch) = configs.valuesIterator.find(_.topo eq topo).getOrElse(
+    val plan = kept.find(_.plan.topo eq topo).map(_.plan).getOrElse(
       PhysicalPlan.compile(topo, relIds, layout, storeId))
-    rescheduled()
+    schedule = kept :+ new Scheduled(fromEpoch, plan)
   }
 
   private def planFor(e: Long): PhysicalPlan = {
-    var i = schedFrom.length - 1
-    while (i >= 0 && schedFrom(i) > e) i -= 1
-    if (i < 0) null else schedPlan(i)
+    var i = schedule.length - 1
+    while (i >= 0 && schedule(i).from > e) i -= 1
+    if (i < 0) null else schedule(i).plan
   }
 
   def configFor(e: Long): Option[Topology] = Option(planFor(e)).map(_.topo)
@@ -195,7 +196,7 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     def size: Int = rows.size
   }
 
-  private final class PartitionState(val busyKey: (String, Int)) {
+  private final class PartitionState {
     val byEpoch = mutable.LongMap[Container]()
     var busyUntil = 0.0
   }
@@ -203,7 +204,7 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
   private final class StoreInst(val dfn: StoreDef) {
     val layout: Layout = EventSim.this.layout(dfn.ref.mir.relations)
     val parallelism: Int = dfn.parallelism
-    val parts: Array[PartitionState] = Array.tabulate(parallelism)(p => new PartitionState((dfn.key, p)))
+    val parts: Array[PartitionState] = Array.fill(parallelism)(new PartitionState)
     private val partSlot = dfn.ref.part.map(layout.slot).getOrElse(-1)
     var stored = 0L
 
@@ -349,7 +350,7 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     val start = math.max(ev.time, ps.busyUntil)
     val dur = params.sStore
     ps.busyUntil = start + dur
-    metrics.workerBusy(ps.busyKey) += dur
+    metrics.totalBusy += dur
     noteBacklog(ps, ev.time)
     ps.byEpoch.getOrElseUpdate(ev.epoch, new Container(st.layout.attrs.size)).add(ev.row)
     st.stored += 1
@@ -402,7 +403,7 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     // plus the matches produced
     val dur = params.sProbe * ev.rows.length + n * params.sMatch
     ps.busyUntil = start + dur
-    metrics.workerBusy(ps.busyKey) += dur
+    metrics.totalBusy += dur
     metrics.matches += n
     noteBacklog(ps, ev.time)
 
@@ -469,7 +470,7 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     // share a configuration object; probe once per run, and store the tuple
     // into the union of the covering configurations' base-store instances
     // (future probe passes for old epochs use the old instances).
-    val eLo = math.max(epochOf(t.ts - globalMaxWindow), if (schedFrom.isEmpty) e0 else schedFrom(0))
+    val eLo = math.max(epochOf(t.ts - globalMaxWindow), if (schedule.isEmpty) e0 else schedule(0).from)
     val covering = mutable.ArrayBuffer[(PhysicalPlan, Long, Long)]()
     var e = eLo
     while (e <= e0) {
@@ -523,12 +524,10 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     // targeted (Section VI.B reference counting on query removal).
     val curEpoch = epochOf(now)
     val horizon = curEpoch - math.ceil((globalMaxWindow + slack) / params.epochLen).toLong - 1
-    val oldKeys = configs.keys.filter(_ <= horizon).toVector.sorted
-    if (oldKeys.size > 1) {
-      oldKeys.dropRight(1).foreach(configs.remove)
-      rescheduled()
-    }
-    val referenced = configs.values.foldLeft(BitSet.empty)(_ union _.storeIds)
+    // keep the last configuration at or before the horizon
+    val old = schedule.count(_.from <= horizon)
+    if (old > 1) schedule = schedule.drop(old - 1)
+    val referenced = schedule.foldLeft(BitSet.empty)(_ union _.plan.storeIds)
     stores.indices.foreach { id =>
       if (stores(id) != null && !referenced(id)) {
         metrics.storedNow -= stores(id).stored

@@ -91,9 +91,7 @@ private[sim] final class PhysicalPlan(
     val ingest: Array[Array[Int]],
     val storeIds: BitSet,
     val storeIntoIds: BitSet,
-) {
-  val maxWindow: Double = topo.maxWindow
-}
+)
 
 private[sim] object PhysicalPlan {
 
@@ -143,6 +141,6 @@ private[sim] object PhysicalPlan {
     topo.ingest.foreach { case (r, keys) => ingest(relIds(r)) = keys.map(storeId).toArray }
 
     new PhysicalPlan(topo, roots, ingest, BitSet.fromSpecific(topo.storeKeys.map(storeId)),
-                     BitSet.fromSpecific(topo.storeIntoKeys.map(storeId)))
+                     BitSet.fromSpecific(nodes.valuesIterator.flatMap(_.storeInto)))
   }
 }

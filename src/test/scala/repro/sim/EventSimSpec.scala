@@ -23,6 +23,13 @@ class EventSimSpec extends SparkSpec {
         Pred.of("S", "b", "T", "b") -> selST,
         Pred.of("T", "c", "U", "c") -> 0.02))
 
+  // skewed so the optimizer materializes an intermediate store
+  private val mirStats = Stats(
+    Map("R" -> 10000.0, "S" -> 10.0, "T" -> 10.0, "U" -> 10.0),
+    Map(Pred.of("R", "a", "S", "a") -> 0.1,
+        Pred.of("S", "b", "T", "b") -> 0.001,
+        Pred.of("T", "c", "U", "c") -> 0.001))
+
   private def runOnce(sel: Selection): Metrics = {
     val sim = new EventSim(catalog, det, recordResults = true)
     sim.installConfig(0L, Topology.build(sel, catalog))
@@ -49,13 +56,7 @@ class EventSimSpec extends SparkSpec {
   }
 
   test("results are identical with an MIR-based plan") {
-    // Skew stats so the optimizer materializes an intermediate store.
-    val st = Stats(
-      Map("R" -> 10000.0, "S" -> 10.0, "T" -> 10.0, "U" -> 10.0),
-      Map(Pred.of("R", "a", "S", "a") -> 0.1,
-          Pred.of("S", "b", "T", "b") -> 0.001,
-          Pred.of("T", "c", "U", "c") -> 0.001))
-    val sel = Planner.mqo(Seq(query), catalog, st).selection
+    val sel = Planner.mqo(Seq(query), catalog, mirStats).selection
     assert(sel.probedStores.exists(!_.mir.isBase), "expected an MIR store in the plan")
     val m = runOnce(sel)
     assert(resultKeys(m) == TestData.naiveJoin(query, input))
@@ -110,6 +111,20 @@ class EventSimSpec extends SparkSpec {
     val m = sim.run(input)
     assert(m.results.map { case (_, t) => TestData.simResultKey(query.relations, t) }.toSet
            == expected)
+  }
+
+  test("a later install supersedes configurations starting at or after its epoch") {
+    def topo(st: Stats) = Topology.build(Planner.mqo(Seq(query), catalog, st).selection, catalog)
+    val (a, b, c) = (topo(stats(0.9)), topo(stats(1e-6)), topo(mirStats))
+    assert(a.storeKeys != c.storeKeys, "test needs configurations with different stores")
+    val sim = new EventSim(catalog, det)
+    sim.installConfig(0L, a)
+    sim.installConfig(5L, b)
+    sim.installConfig(3L, c)
+    assert(sim.configFor(2L).exists(_ eq a))
+    assert(sim.configFor(4L).exists(_ eq c))
+    assert(sim.configFor(7L).exists(_ eq c), "B should be superseded by C")
+    assert(sim.coveredStoreKeys(1L, 4L) == a.storeKeys.intersect(c.storeKeys))
   }
 
   test("per-epoch containers: no duplicate results across epochs") {

@@ -86,6 +86,27 @@ class SimPropertySpec extends AnyFunSuite {
     }
   }
 
+  test("property: total busy time is the service time of every processed message") {
+    val params = SimParams()
+    def check(input: Vector[InTuple], topos: Seq[(Long, Topology)], what: String): Unit = {
+      val sim = new EventSim(catalog, params)
+      topos.foreach { case (e, t) => sim.installConfig(e, t) }
+      val m = sim.run(input)
+      assert(m.failedAt.isEmpty && m.inFlight == 0, s"$what: run did not drain")
+      assert(m.matches > 0 && m.storeMsgs > 0, s"$what: no work")
+      val expected = params.svcStore * m.storeMsgs + params.svcProbe * m.tuplesSent +
+        params.svcPerMatch * m.matches
+      assert(math.abs(m.totalBusy - expected) <= 1e-9 * expected, s"$what: ${m.totalBusy} vs $expected")
+    }
+    def topo(seed: Long) = Topology.build(Planner.mqo(Seq(query), catalog, randomStats(seed)).selection, catalog)
+    for (seed <- 1 to 4) {
+      val input = genInput(seed * 97L, 40)
+      check(input, Seq(0L -> topo(seed * 5L)), s"static, seed $seed")
+      check(input, Seq(0L, 1L, 3L).zipWithIndex.map { case (e, i) => e -> topo(seed * 23L + i) },
+            s"rewired, seed $seed")
+    }
+  }
+
   test("property: probe counts match Spark ground truth only through shared nodes") {
     // structural invariant without Spark: every dispatched node id exists in
     // some installed topology and totals are consistent

@@ -2,8 +2,10 @@ package repro.core
 
 import scala.collection.mutable
 
-/** A deployed store: an MIR store instance with a partitioning. */
-final case class StoreDef(ref: StoreRef, parallelism: Int, window: Double) {
+/** A deployed store: an MIR store instance with a partitioning. It retains
+  * its topology's `maxWindow`.
+  */
+final case class StoreDef(ref: StoreRef, parallelism: Int) {
   def key: String = ref.key
 }
 
@@ -35,6 +37,9 @@ final case class Topology(
     nodes: Map[String, TopoNode],
     queryWindows: Map[String, Double],
 ) {
+  /** The largest query window (0 for an empty selection): the window every
+    * store retains and the reach of the probe range.
+    */
   val maxWindow: Double = if (queryWindows.isEmpty) 0.0 else queryWindows.values.max
   def storeKeys: Set[String] = stores.keySet
 }
@@ -50,8 +55,6 @@ object Topology {
     * shared computation is performed once (Fig. 4).
     */
   def build(sel: Selection, catalog: Catalog): Topology = {
-    val maxWindow = if (sel.queries.isEmpty) 1.0 else sel.queries.map(_.window).max
-
     val children = mutable.Map[String, mutable.LinkedHashSet[String]]()
     val emits = mutable.Map[String, mutable.LinkedHashSet[String]]()
     val storeInto = mutable.Map[String, mutable.LinkedHashSet[StoreRef]]()
@@ -95,7 +98,7 @@ object Topology {
     }.toMap
 
     val stores = sel.probedStores.toVector.sortBy(_.key).map { ref =>
-      ref.key -> StoreDef(ref, catalog.parallelism(ref.mir), maxWindow)
+      ref.key -> StoreDef(ref, catalog.parallelism(ref.mir))
     }.toMap
 
     // Input tuples of a relation are stored in every probed base-store

@@ -142,7 +142,7 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     */
   def installConfig(fromEpoch: Long, topo: Topology): Unit = {
     val kept = schedule.filter(_.from < fromEpoch)
-    topo.stores.values.foreach(ensureStore)
+    topo.stores.values.foreach(ensureStore(_, topo.maxWindow))
     val plan = kept.find(_.plan.topo eq topo).map(_.plan).getOrElse(
       PhysicalPlan.compile(topo, relIds, layout, storeId))
     schedule = kept :+ new Scheduled(fromEpoch, plan)
@@ -201,7 +201,8 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     var busyUntil = 0.0
   }
 
-  private final class StoreInst(val dfn: StoreDef) {
+  /** A live store; it retains `window`, the window of the topology that created it. */
+  private final class StoreInst(val dfn: StoreDef, val window: Double) {
     val layout: Layout = EventSim.this.layout(dfn.ref.mir.relations)
     val parallelism: Int = dfn.parallelism
     val parts: Array[PartitionState] = Array.fill(parallelism)(new PartitionState)
@@ -223,9 +224,9 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
 
   private def storeId(key: String): Int = storeIdOf.getOrElseUpdate(key, { stores += null; stores.size - 1 })
 
-  private def ensureStore(dfn: StoreDef): Unit = {
+  private def ensureStore(dfn: StoreDef, window: Double): Unit = {
     val id = storeId(dfn.key)
-    if (stores(id) == null) stores(id) = new StoreInst(dfn)
+    if (stores(id) == null) stores(id) = new StoreInst(dfn, window)
   }
 
   def activeStoreKeys: Set[String] = stores.iterator.filter(_ != null).map(_.dfn.key).toSet
@@ -509,7 +510,7 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     val slack = params.epochLen + 10 * params.net
     stores.foreach { st =>
       if (st != null) {
-        val cut = now - st.dfn.window - slack
+        val cut = now - st.window - slack
         st.parts.foreach { ps =>
           val dead = ps.byEpoch.keys.filter(e => (e + 1) * params.epochLen < cut).toVector
           dead.foreach { e =>

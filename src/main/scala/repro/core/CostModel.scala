@@ -31,10 +31,6 @@ object CostModel {
     prefixCard / covered.size * chi(step, catalog)
   }
 
-  /** PCost of a decorated probe order: sum of its step costs. */
-  def orderCost(d: Decorated, stats: Stats, catalog: Catalog): Double =
-    d.steps.map(stepCost(_, stats, catalog)).sum
-
   /** Key of the step that inserts the results of the maintenance orders of
     * MIR `mirKey` starting at `start` into the MIR's store.
     */
@@ -48,7 +44,9 @@ object CostModel {
     stats.joinCard(sub.relations, sub.predicates) / sub.relations.size
 
   /** (step key, cost) pairs a candidate of `slot` pays: Eq. 1 for each probe
-    * step of `sub`, then, for a maintenance slot, its insert step.
+    * step of `sub`, then, for a maintenance slot, its insert step. This is
+    * what `MqoProblem.build` records in `Cand.costed`, re-priced under other
+    * statistics.
     */
   def costed(slot: SlotId, sub: Subquery, steps: Vector[Step], stats: Stats,
              catalog: Catalog): Vector[(StepKey, Double)] = {

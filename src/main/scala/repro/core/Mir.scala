@@ -12,12 +12,12 @@ final case class Mir(relations: Vector[String], predicates: Set[Pred]) {
   require(relations == relations.sorted, s"MIR relations must be sorted: $relations")
   require(predicates.forall(_.within(relSet)), s"MIR predicates must be internal")
 
-  def relSet: Set[String] = relations.toSet
+  lazy val relSet: Set[String] = relations.toSet
   def isBase: Boolean = relations.size == 1
   def size: Int = relations.size
 
   /** Stable global identity: relations + canonical predicate keys. */
-  def key: String =
+  lazy val key: String =
     relations.mkString(",") + "|" + predicates.map(_.key).toSeq.sorted.mkString("&")
 
   /** Short display label, e.g. `ST` for the join of S and T. */
@@ -61,6 +61,11 @@ object Mir {
   */
 final case class Subquery(id: String, relations: Set[String], predicates: Set[Pred], window: Double) {
   def inducedPreds(rs: Set[String]): Set[Pred] = predicates.filter(_.within(rs))
+
+  /** Attribute-equality classes under this subquery's predicates, computed
+    * once (every step's routing reads them).
+    */
+  lazy val attrClasses: Map[Attr, Set[Attr]] = AttrEq.classes(predicates)
 }
 
 object Subquery {

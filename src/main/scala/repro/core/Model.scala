@@ -5,7 +5,7 @@ import scala.collection.mutable
 /** An attribute of a streamed relation, e.g. `S.b`. */
 final case class Attr(rel: String, name: String) {
   /** Fully qualified name used in keys and display. */
-  def full: String = s"$rel.$name"
+  lazy val full: String = s"$rel.$name"
   override def toString: String = full
 }
 
@@ -18,7 +18,7 @@ final case class Pred(x: Attr, y: Attr) {
   require(x.rel != y.rel, s"self-join predicate ${x.full}=${y.full} is not supported")
 
   /** The two attributes in lexicographic order — canonical identity. */
-  def sorted: (Attr, Attr) = if (x.full <= y.full) (x, y) else (y, x)
+  val sorted: (Attr, Attr) = if (x.full <= y.full) (x, y) else (y, x)
 
   def rels: Set[String] = Set(x.rel, y.rel)
   def touches(rel: String): Boolean = x.rel == rel || y.rel == rel
@@ -29,13 +29,13 @@ final case class Pred(x: Attr, y: Attr) {
     (a(x.rel) && b(y.rel)) || (a(y.rel) && b(x.rel))
 
   /** Canonical string, usable as a stable key. */
-  def key: String = { val (p, q) = sorted; s"${p.full}=${q.full}" }
+  lazy val key: String = s"${sorted._1.full}=${sorted._2.full}"
 
   override def equals(o: Any): Boolean = o match {
     case p: Pred => p.sorted == sorted
     case _       => false
   }
-  override def hashCode: Int = sorted.hashCode
+  override val hashCode: Int = sorted.hashCode
   override def toString: String = key
 }
 

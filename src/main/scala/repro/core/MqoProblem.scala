@@ -21,19 +21,26 @@ final case class MirSlot(mirKey: String, start: String) extends SlotId {
 /** A candidate probe order for a slot.
   *
   * @param steps  the physical probe steps (drive the topology)
-  * @param costed (step key, cost) pairs the ILP accounts for, as
-  *               `CostModel.costed` prices them: the probe steps plus, for
-  *               maintenance orders, the insert step that ships the produced
-  *               subresult into the MIR store
+  * @param costed (step key, cost) pairs the ILP accounts for: Eq. 1 for each
+  *               probe step plus, for maintenance orders, the insert step
+  *               that ships the produced subresult into the MIR store
+  * @param stepIds   the ids of the `costed` keys in the problem's step table
+  * @param stepCosts the `costed` costs, as an array
   */
 final case class Cand(d: Decorated, steps: Vector[Step], costed: Vector[(StepKey, Double)],
-                      mirsUsed: Vector[String]) {
-  def cost: Double = costed.map(_._2).sum
+                      mirsUsed: Vector[String])(val stepIds: Array[Int], val stepCosts: Array[Double]) {
+  /** Sum of the costed costs, left to right from the first, as `Seq.sum` adds them. */
+  def cost: Double = stepCosts.sum
   override def toString: String = d.toString
 }
 
 /** The multi-query optimization problem of Section V: slots, candidates,
   * shared step costs, and the MIR maintenance structure.
+  *
+  * Steps are interned: `stepKeys(i)` is the key of step id `i` and
+  * `stepCosts(i)` its cost, as the last subquery to reach the key priced it
+  * (every subquery must agree; see `build`). Each candidate carries its step
+  * ids, so the solver searches ids, not keys.
   */
 final case class MqoProblem(
     queries: Vector[Query],
@@ -42,14 +49,18 @@ final case class MqoProblem(
     querySlots: Vector[SlotId],
     mirSlots: Map[String, Vector[SlotId]], // mirKey -> maintenance slots
     slotCands: Map[SlotId, Vector[Cand]],
-    stepCost: Map[StepKey, Double],
+    stepKeys: Array[StepKey],
+    stepCosts: Array[Double],
     mirByKey: Map[String, Mir],
 ) {
+  /** Shared step cost table, keyed by step. */
+  lazy val stepCost: Map[StepKey, Double] = stepKeys.indices.map(i => stepKeys(i) -> stepCosts(i)).toMap
+
   /** ILP x-variables: one per (slot, candidate). */
   def numXVars: Int = slotCands.values.map(_.size).sum
 
   /** ILP y-variables: one per distinct step. */
-  def numYVars: Int = stepCost.size
+  def numYVars: Int = stepKeys.length
 
   def numVars: Int = numXVars + numYVars
 
@@ -61,7 +72,12 @@ object MqoProblem {
 
   /** Build the problem: enumerate MIRs per query (Section V), candidate probe
     * orders (Algorithm 1), apply partitioning candidates, generate maintenance
-    * probe orders for every non-base MIR, and collect shared step costs.
+    * probe orders for every non-base MIR, and intern the shared steps.
+    *
+    * A slot's decorated orders are walked as a prefix tree: a step shared by
+    * several decorations (same probed elements and partitionings up to it)
+    * is built, keyed, costed and interned once, at its tree node, and each
+    * step extends the step before it.
     */
   def build(queries: Seq[Query], catalog: Catalog, stats: Stats): MqoProblem = {
     val qs = queries.toVector.sortBy(_.name)
@@ -80,29 +96,79 @@ object MqoProblem {
     def partsOf(m: Mir): Vector[Attr] =
       partsCache.getOrElseUpdate(m.key, ProbeOrders.partitionCandidates(m, qs))
 
+    // Step table. A step's cost must be identical wherever its key appears
+    // (it is a function of the key's content); the last subquery to reach a
+    // key sets the recorded cost.
+    val stepIds = mutable.HashMap[StepKey, Int]()
+    val stepKeys = mutable.ArrayBuffer[StepKey]()
+    val stepCosts = mutable.ArrayBuffer[Double]()
+    def intern(k: StepKey, cost: Double): Int = stepIds.get(k) match {
+      case Some(id) =>
+        val prev = stepCosts(id)
+        require(math.abs(prev - cost) <= 1e-6 * math.max(1.0, math.abs(prev)),
+                s"inconsistent cost for shared step $k: $prev vs $cost")
+        stepCosts(id) = cost
+        id
+      case None =>
+        stepIds(k) = stepKeys.size
+        stepKeys += k
+        stepCosts += cost
+        stepKeys.size - 1
+    }
+
+    /** A node of a slot's prefix tree: one step, keyed, costed and interned. */
+    final class Node(val step: Step) {
+      val cost: Double = CostModel.stepCost(step, stats, catalog)
+      val costed: (StepKey, Double) = step.key -> cost
+      val id: Int = intern(step.key, cost)
+      val children = mutable.ArrayBuffer[Node]()
+    }
+    /** The node among `siblings` probing `m` partitioned by `part`; `make` builds its step if new. */
+    def child(siblings: mutable.ArrayBuffer[Node], m: Mir, part: Option[Attr], make: => Step): Node =
+      siblings.find(n => n.step.target == m && n.step.targetPart == part).getOrElse {
+        val n = new Node(make)
+        siblings += n
+        n
+      }
+
     val slotCands = mutable.LinkedHashMap[SlotId, Vector[Cand]]()
     val mirSlots = mutable.LinkedHashMap[String, Vector[SlotId]]()
 
-    def mkCands(sub: Subquery, usableMirs: Set[Mir], slot: SlotId): Vector[Cand] =
-      ProbeOrders
-        .candidatesFrom(sub, usableMirs, slot.start)
-        .flatMap(po => ProbeOrders.decorate(po, partsOf))
-        .map { d =>
-          val steps = d.steps
-          Cand(d, steps, CostModel.costed(slot, sub, steps, stats, catalog),
-               d.mirsUsed.map(_.key).toVector.sorted)
+    def mkCands(sub: Subquery, usableMirs: Set[Mir], slot: SlotId): Vector[Cand] = {
+      val roots = mutable.ArrayBuffer[Node]()
+      lazy val insert: Option[((StepKey, Double), Int)] = slot match {
+        case MirSlot(mk, start) =>
+          val (k, cost) = (CostModel.insertKey(mk, start), CostModel.insertCost(sub, stats))
+          Some((k -> cost, intern(k, cost)))
+        case _: QuerySlot => None
+      }
+      ProbeOrders.candidatesFrom(sub, usableMirs, slot.start).flatMap { po =>
+        val mirsUsed = po.mirsUsed.map(_.key).toVector.sorted
+        ProbeOrders.decorate(po, partsOf).map { d =>
+          val path = (1 until po.elems.size).foldLeft(Vector.empty[Node]) { (path, t) =>
+            val (m, part) = (po.elems(t), d.parts(t - 1))
+            path :+ (path.lastOption match {
+              case None       => child(roots, m, part, Step.first(sub, po.elems.head, m, part))
+              case Some(prev) => child(prev.children, m, part, prev.step.next(m, part))
+            })
+          }
+          val costed = path.map(_.costed) ++ insert.map(_._1)
+          Cand(d, path.map(_.step), costed, mirsUsed)((path.map(_.id) ++ insert.map(_._2)).toArray,
+                                                      costed.map(_._2).toArray)
         }
+      }
+    }
 
     // Maintenance slots for a non-base MIR (recursively for MIRs its own
     // candidates use). Candidates of the MIR's subquery may themselves use
     // smaller MIRs of the pool with matching induced predicates.
+    val pool = mirByKey.values.toSet
     val mirDone = mutable.Set[String]()
     def ensureMirSlots(mirKey: String): Unit = {
       if (mirDone(mirKey)) return
       mirDone += mirKey
       val m = mirByKey(mirKey)
       val sub = Subquery.ofMir(m, mirWindow(mirKey))
-      val pool = mirByKey.values.toSet
       val slots = m.relations.map { start =>
         val sid: SlotId = MirSlot(mirKey, start)
         val cands = mkCands(sub, pool, sid)
@@ -113,27 +179,16 @@ object MqoProblem {
       mirSlots(mirKey) = slots
     }
 
-    val querySlots: Vector[SlotId] = for {
-      q <- qs
-      start <- q.relations.toVector.sorted
-    } yield {
-      val sid: SlotId = QuerySlot(q.name, start)
-      val cands = mkCands(Subquery.ofQuery(q), perQueryMirs(q.name), sid)
-      require(cands.nonEmpty, s"no probe order candidates for ${q.name} from $start — disconnected query?")
-      slotCands(sid) = cands
-      cands.foreach(_.mirsUsed.foreach(ensureMirSlots))
-      sid
-    }
-
-    // Shared step cost table. Step cost must be identical wherever the same
-    // step key appears (it is a function of the key's content).
-    val stepCost = mutable.Map[StepKey, Double]()
-    for (cands <- slotCands.values; c <- cands; (k, cost) <- c.costed) {
-      stepCost.get(k).foreach { prev =>
-        require(math.abs(prev - cost) <= 1e-6 * math.max(1.0, math.abs(prev)),
-                s"inconsistent cost for shared step $k: $prev vs $cost")
+    val querySlots: Vector[SlotId] = qs.flatMap { q =>
+      val sub = Subquery.ofQuery(q)
+      q.relations.toVector.sorted.map { start =>
+        val sid: SlotId = QuerySlot(q.name, start)
+        val cands = mkCands(sub, perQueryMirs(q.name), sid)
+        require(cands.nonEmpty, s"no probe order candidates for ${q.name} from $start — disconnected query?")
+        slotCands(sid) = cands
+        cands.foreach(_.mirsUsed.foreach(ensureMirSlots))
+        sid
       }
-      stepCost(k) = cost
     }
 
     MqoProblem(
@@ -143,7 +198,8 @@ object MqoProblem {
       querySlots = querySlots,
       mirSlots = mirSlots.toMap,
       slotCands = slotCands.toMap,
-      stepCost = stepCost.toMap,
+      stepKeys = stepKeys.toArray,
+      stepCosts = stepCosts.toArray,
       mirByKey = mirByKey.toMap,
     )
   }

@@ -16,13 +16,15 @@ final case class Selection(
   /** Probe cost when identical steps (probe steps and MIR insert steps) are
     * executed once (Shared / CMQO).
     */
-  def sharedCost: Double = orders.flatMap(_._2.costed).toMap.values.sum
-
-  /** Probe cost when every probe order pays its own steps. */
-  def unsharedCost: Double = orders.map(_._2.cost).sum
+  def sharedCost: Double = Selection.distinctCost(orders.flatMap(_._2.costed))
 
   /** All store instances probed by some step. */
   def probedStores: Set[StoreRef] = distinctSteps.values.map(_.targetRef).toSet
+}
+
+object Selection {
+  /** Sum of the costs of the distinct step keys among `costed`. */
+  private[core] def distinctCost(costed: Vector[(StepKey, Double)]): Double = costed.toMap.values.sum
 }
 
 /** Planning strategies of Section VII.A:
@@ -59,9 +61,9 @@ object Planner {
     * (only rewire on a clear improvement).
     */
   def selectionCost(sel: Selection, stats: Stats, catalog: Catalog): Double =
-    sel.copy(orders = sel.orders.map { case (sid, c) =>
-      sid -> c.copy(costed = CostModel.costed(sid, c.d.po.sub, c.steps, stats, catalog))
-    }).sharedCost
+    Selection.distinctCost(sel.orders.flatMap { case (sid, c) =>
+      CostModel.costed(sid, c.d.po.sub, c.steps, stats, catalog)
+    })
 
   /** Merge individually optimal plans into one shared selection: stores and
     * identical steps are deduplicated, but plan *choice* stays locally optimal.

@@ -14,6 +14,9 @@ final case class ProbeOrder(sub: Subquery, start: String, elems: Vector[Mir]) {
 
   def length: Int = elems.size
 
+  /** Non-base MIRs this probe order relies on (they must be maintained). */
+  def mirsUsed: Set[Mir] = elems.filterNot(_.isBase).toSet
+
   override def toString: String = s"⟨${elems.mkString(", ")}⟩@${sub.id}"
 }
 
@@ -33,16 +36,16 @@ final case class Decorated(po: ProbeOrder, parts: Vector[Option[Attr]]) {
     * Per Section V, a step is identified with its probe-order prefix; equal
     * steps in different queries' candidates share an ILP variable.
     */
-  def step(t: Int): Step = {
-    val prefixElems = po.elems.take(t)
-    val prefixParts = parts.take(t - 1)
-    Step(po.sub, po.start, prefixElems, prefixParts, po.elems(t), parts(t - 1))
-  }
+  def step(t: Int): Step = steps(t - 1)
 
-  def steps: Vector[Step] = (1 until po.elems.size).map(step).toVector
+  /** The steps in order, each extending the one before it. */
+  def steps: Vector[Step] =
+    if (po.elems.size < 2) Vector.empty
+    else (2 until po.elems.size).scanLeft(Step.first(po.sub, po.elems.head, po.elems(1), parts(0))) {
+      (s, t) => s.next(po.elems(t), parts(t - 1))
+    }.toVector
 
-  /** Non-base MIRs this probe order relies on (they must be maintained). */
-  def mirsUsed: Set[Mir] = po.elems.filterNot(_.isBase).toSet
+  def mirsUsed: Set[Mir] = po.mirsUsed
 
   override def toString: String =
     (po.elems.head.toString +: stores.map(_.toString)).mkString("⟨", ", ", s"⟩@${po.sub.id}")
@@ -50,7 +53,7 @@ final case class Decorated(po: ProbeOrder, parts: Vector[Option[Attr]]) {
 
 /** A store instance: an MIR store partitioned by a specific attribute. */
 final case class StoreRef(mir: Mir, part: Option[Attr]) {
-  def key: String = mir.key + "[" + part.map(_.full).getOrElse("∗") + "]"
+  lazy val key: String = mir.key + "[" + part.map(_.full).getOrElse("∗") + "]"
   override def toString: String = mir.toString + "[" + part.map(_.full).getOrElse("∗") + "]"
 }
 
@@ -63,6 +66,10 @@ final case class StoreRef(mir: Mir, part: Option[Attr]) {
   * predicates, the target store and the predicates connecting prefix and
   * target — so structurally equal steps of different queries share one
   * ILP variable and one physical dataflow edge.
+  *
+  * Steps are built along a probe order ([[Step.first]], then [[next]]):
+  * `prefixKey` is the previous step's key prefix extended by its target, so
+  * a step's key is computed once and shares its prefix with the step before.
   */
 final case class Step(
     sub: Subquery,
@@ -71,8 +78,8 @@ final case class Step(
     prefixParts: Vector[Option[Attr]],
     target: Mir,
     targetPart: Option[Attr],
-) {
-  def coveredRels: Set[String] = prefixElems.flatMap(_.relations).toSet
+)(prefixKey: Vector[String]) {
+  val coveredRels: Set[String] = prefixElems.flatMap(_.relations).toSet
   def resultRels: Set[String] = coveredRels ++ target.relSet
 
   /** Predicates evaluated when probing: those connecting prefix and target. */
@@ -86,31 +93,39 @@ final case class Step(
     * store's partitioning attribute. None means the prefix tuple must be
     * broadcast to all target partitions.
     */
-  def routeAttr: Option[Attr] = targetPart.flatMap { p =>
-    val covered = coveredRels
-    AttrEq.classOf(sub.predicates, p).find(a => covered(a.rel))
+  lazy val routeAttr: Option[Attr] = targetPart.flatMap { p =>
+    sub.attrClasses.getOrElse(p, Set(p)).find(a => coveredRels(a.rel))
   }
 
   /** True when the step is routed to one target partition (see `routeAttr`). */
   def routed: Boolean = routeAttr.isDefined
 
-  def key: StepKey = {
-    val prefixKey = prefixElems.head.key +: prefixElems.tail.zip(prefixParts).map {
-      case (m, p) => StoreRef(m, p).key
-    }
-    val covered = resultRels
-    StepKey(prefixKey, targetRef.key,
-            sub.inducedPreds(covered).map(_.key).toSeq.sorted.mkString("&"),
-            routed)
-  }
+  lazy val key: StepKey =
+    StepKey(prefixKey, targetRef.key, sub.inducedPreds(resultRels).map(_.key).toSeq.sorted.mkString("&"), routed)
+
+  /** The step after this one: this step's target joins the prefix, and the
+    * result is sent to `m`'s store partitioned by `part`.
+    */
+  def next(m: Mir, part: Option[Attr]): Step =
+    Step(sub, start, prefixElems :+ target, prefixParts :+ targetPart, m, part)(key.prefix :+ key.target)
 
   override def toString: String =
     (prefixElems.head.toString +: prefixElems.tail.zip(prefixParts).map { case (m, p) => StoreRef(m, p).toString })
       .mkString("⟨", ", ", "") + s" → $targetRef⟩"
 }
 
-/** Stable identity of a step across queries. */
-final case class StepKey(prefix: Vector[String], target: String, preds: String, routed: Boolean)
+object Step {
+  /** The first step of a probe order of `sub` whose start element is `head`. */
+  def first(sub: Subquery, head: Mir, target: Mir, part: Option[Attr]): Step =
+    Step(sub, head.relations.head, Vector(head), Vector.empty, target, part)(Vector(head.key))
+}
+
+/** Stable identity of a step across queries. Its hash is computed once (the
+  * value case-class hashing gives), since steps are interned by key.
+  */
+final case class StepKey(prefix: Vector[String], target: String, preds: String, routed: Boolean) {
+  override val hashCode: Int = scala.util.hashing.MurmurHash3.productHash(this)
+}
 
 /** Candidate probe-order construction (Algorithm 1) and partitioning
   * candidates / decoration (Section V).

@@ -20,11 +20,13 @@ import scala.collection.mutable
   *  - an optional node budget makes the solver anytime: when exhausted the
   *    incumbent is returned with `optimal = false` (like a MIP gap).
   *
-  * The search runs on a compiled form of the problem ([[Space]]), built once
-  * per call: slots, MIRs and step keys are interned to ints, and each
-  * candidate becomes arrays of step ids and costs (in `costed` order) and of
-  * MIR ids (in `mirsUsed` order). The search state is arrays too: step
-  * reference counts, active MIRs, the current choice and a memo of
+  * The search runs on an int-indexed form of the problem ([[Space]]), built
+  * once per call. `MqoProblem.build` already interned the steps: each
+  * candidate carries arrays of its step ids and costs (in `costed` order),
+  * which `Space` uses as they are, and the problem's `stepKeys` maps ids back
+  * to keys. `Space` numbers only the slots and MIRs, and gives each candidate
+  * an array of MIR ids (in `mirsUsed` order). The search state is arrays
+  * too: step reference counts, active MIRs, the current choice and a memo of
   * maintenance estimates. Only the returned [[Solution]] is built from maps.
   *
   * The compiled search is the same search, floating-point operation for
@@ -62,11 +64,12 @@ object Solver {
     new Search(Space(p), nodeBudget).run()
   }
 
-  /** The problem interned to ints. Slots are numbered query slots first (in
+  /** The problem indexed by ints. Slots are numbered query slots first (in
     * `querySlots` order), then maintenance slots as the MIRs are reached.
     * Candidates are numbered globally; slot `s` owns the candidates
     * `first(s) until first(s) + count(s)`, in `slotCands` order, so a local
-    * candidate index is a global id minus `first(s)`.
+    * candidate index is a global id minus `first(s)`. Step ids and costs are
+    * the candidates' own (`Cand.stepIds`, `Cand.stepCosts`).
     */
   private final class Space(
       val slots: Array[SlotId],
@@ -92,19 +95,12 @@ object Solver {
       val slots = mutable.ArrayBuffer[SlotId](p.querySlots: _*)
       val mirIds = mutable.HashMap[String, Int]()
       val mirSlots = mutable.ArrayBuffer[Array[Int]]()
-      val stepIds = mutable.HashMap[StepKey, Int]()
-      val stepKeys = mutable.ArrayBuffer[StepKey]()
       val first, count = mutable.ArrayBuilder.make[Int]
       val candSteps = mutable.ArrayBuilder.make[Array[Int]]
       val candCosts = mutable.ArrayBuilder.make[Array[Double]]
       val candCost = mutable.ArrayBuilder.make[Double]
       val candMirs = mutable.ArrayBuilder.make[Array[Int]]
 
-      def stepId(k: StepKey): Int = stepIds.getOrElse(k, {
-        stepIds(k) = stepKeys.size
-        stepKeys += k
-        stepKeys.size - 1
-      })
       def mirId(mk: String): Int = mirIds.getOrElse(mk, {
         val id = mirSlots.size
         mirIds(mk) = id
@@ -121,8 +117,8 @@ object Solver {
         first += nCands
         count += cands.size
         cands.foreach { c =>
-          candSteps += c.costed.map(kc => stepId(kc._1)).toArray
-          candCosts += c.costed.map(_._2).toArray
+          candSteps += c.stepIds
+          candCosts += c.stepCosts
           candCost += c.cost
           candMirs += c.mirsUsed.map(mirId).toArray
         }
@@ -131,7 +127,7 @@ object Solver {
       }
       new Space(slots.toArray, p.querySlots.size, first.result(), count.result(), candSteps.result(),
                 candCosts.result(), candCost.result(), candMirs.result(),
-                mirSlots.toArray, stepKeys.toArray)
+                mirSlots.toArray, p.stepKeys)
     }
   }
 

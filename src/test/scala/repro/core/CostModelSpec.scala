@@ -48,8 +48,9 @@ class CostModelSpec extends AnyFunSuite {
   }
 
   test("paper order costs: <S,R,T> = 150, <S,T,R> = 175") {
-    assert(CostModel.orderCost(order(q1, "S", "R", "T"), stats, catalog) === 150.0)
-    assert(CostModel.orderCost(order(q1, "S", "T", "R"), stats, catalog) === 175.0)
+    def orderCost(d: Decorated) = d.steps.map(CostModel.stepCost(_, stats, catalog)).sum
+    assert(orderCost(order(q1, "S", "R", "T")) === 150.0)
+    assert(orderCost(order(q1, "S", "T", "R")) === 175.0)
   }
 
   test("three-step order: fraction is 1/#covered relations") {
@@ -112,7 +113,8 @@ class CostModelSpec extends AnyFunSuite {
     val mqo = Planner.mqo(Seq(q1, q2), catalog, stats)
     val sel = mqo.selection
     assert(math.abs(sel.sharedCost - 800.0) < 1e-6)
-    assert(sel.unsharedCost > sel.sharedCost) // S→T / T→S counted twice unshared
+    val unshared = sel.orders.flatMap(_._2.costed.map(_._2)).sum
+    assert(unshared > sel.sharedCost) // S→T / T→S counted twice unshared
   }
 
   test("maintenance insert step is costed at |subresult| / #relations") {

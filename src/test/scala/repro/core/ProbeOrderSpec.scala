@@ -137,8 +137,7 @@ class ProbeOrderSpec extends AnyFunSuite {
     val q = Query("qt", Set("R", "X", "T"),
                   Set(Pred.of("R", "a", "X", "a"), Pred.of("X", "a", "T", "c")))
     val sub = Subquery.ofQuery(q)
-    val step = Step(sub, "R", Vector(Mir.base("R")), Vector.empty,
-                    Mir.base("T"), Some(Attr("T", "c")))
+    val step = Step.first(sub, Mir.base("R"), Mir.base("T"), Some(Attr("T", "c")))
     // T is not directly joined with R, but the chain R.a=X.a=T.c routes it.
     assert(step.routed)
   }

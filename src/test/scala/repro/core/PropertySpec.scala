@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.mutable
 
 /** Property-style invariants of the optimizer core over randomized queries
   * (seeded deterministic generation; 60 cases per property).
@@ -152,5 +153,76 @@ class PropertySpec extends AnyFunSuite {
       assert(a.stepCost.keySet == b.stepCost.keySet)
       assert(a.numVars == b.numVars)
     }
+  }
+
+  /** Built problems over the random queries (alone and in pairs, so MIR
+    * subqueries of several queries meet) and the Fig. 3 workload.
+    */
+  private def builtProblems: Seq[MqoProblem] = {
+    val catalog = Catalog(relPool.map(r => r -> RelDef(r, attrPool, 3)).toMap, 3)
+    val stats = Stats(relPool.map(_ -> 20.0).toMap, Map.empty, 0.05)
+    val single = cases.take(30).map(q => MqoProblem.build(Seq(q), catalog, stats))
+    val pairs = (1 to 15).map { s =>
+      MqoProblem.build(Seq(genQuery(s * 101L).copy(name = "q1"), genQuery(s * 103L).copy(name = "q2")), catalog, stats)
+    }
+    // Fig. 3: q1 = R(b), S(b,c), T(c) and q2 = S(c), T(c,d), U(d)
+    val fig3 = Seq(
+      Query("q1", Set("R", "S", "T"), Set(Pred.of("R", "b", "S", "b"), Pred.of("S", "c", "T", "c"))),
+      Query("q2", Set("S", "T", "U"), Set(Pred.of("S", "c", "T", "c"), Pred.of("T", "d", "U", "d"))))
+    val fig3Catalog = Catalog.of(RelDef("R", Vector("b"), 3), RelDef("S", Vector("b", "c"), 3),
+                                 RelDef("T", Vector("c", "d"), 3), RelDef("U", Vector("d"), 3))
+    val fig3Stats = Stats(Map("R" -> 100.0, "S" -> 100.0, "T" -> 100.0, "U" -> 100.0), Map.empty, 0.01)
+    single ++ pairs :+ MqoProblem.build(fig3, fig3Catalog, fig3Stats)
+  }
+
+  private def allCands(p: MqoProblem): Iterable[(SlotId, Cand)] =
+    p.slotCands.toVector.sortBy(_._1.key).flatMap { case (sid, cs) => cs.map(sid -> _) }
+
+  test("property: a step's routing attribute is the one its subquery's classes give") {
+    builtProblems.foreach { p =>
+      allCands(p).foreach { case (_, c) =>
+        c.steps.foreach { s =>
+          val covered = s.prefixElems.flatMap(_.relations).toSet
+          val expected = s.targetPart.flatMap(a => AttrEq.classOf(s.sub.predicates, a).find(b => covered(b.rel)))
+          assert(s.routeAttr == expected, s"$s in ${s.sub}")
+        }
+      }
+    }
+  }
+
+  test("property: interned step ids agree with step keys and costs") {
+    builtProblems.foreach { p =>
+      val idOf = mutable.Map[StepKey, Int]()
+      allCands(p).foreach { case (sid, c) =>
+        assert(c.stepIds.length == c.costed.size && c.stepCosts.length == c.costed.size)
+        assert(c.steps == c.d.steps, s"$sid: $c")
+        c.costed.indices.foreach { j =>
+          val (k, cost) = c.costed(j)
+          val id = c.stepIds(j)
+          assert(p.stepKeys(id) == k, s"$sid: id $id")
+          assert(idOf.getOrElseUpdate(k, id) == id, s"$sid: key $k has two ids")
+          assert(c.stepCosts(j) == cost)
+          assert(p.stepCosts(id) == p.stepCost(k))
+          assert(math.abs(cost - p.stepCosts(id)) <= 1e-6 * math.max(1.0, cost))
+          if (j < c.steps.size) {
+            val s = c.steps(j)
+            assert(k == s.key && k == keyFromScratch(s), s"$sid: step $j of $c")
+            assert(cost == CostModel.stepCost(s, p.stats, p.catalog))
+          }
+        }
+      }
+      assert(idOf.size == p.stepKeys.length && p.stepKeys.distinct.length == p.stepKeys.length)
+    }
+  }
+
+  /** A step's key computed from its fields alone, not along its probe order. */
+  private def keyFromScratch(s: Step): StepKey = {
+    val prefix = s.prefixElems.head.key +: s.prefixElems.tail.zip(s.prefixParts).map {
+      case (m, part) => StoreRef(m, part).key
+    }
+    val covered = s.prefixElems.flatMap(_.relations).toSet
+    val routed = s.targetPart.exists(a => AttrEq.classOf(s.sub.predicates, a).exists(b => covered(b.rel)))
+    val preds = s.sub.predicates.filter(_.within(covered ++ s.target.relSet)).map(_.key).toSeq.sorted
+    StepKey(prefix, StoreRef(s.target, s.targetPart).key, preds.mkString("&"), routed)
   }
 }

@@ -124,7 +124,7 @@ object Step {
   * value case-class hashing gives), since steps are interned by key.
   */
 final case class StepKey(prefix: Vector[String], target: String, preds: String, routed: Boolean) {
-  override val hashCode: Int = scala.util.hashing.MurmurHash3.productHash(this)
+  override val hashCode: Int = scala.util.hashing.MurmurHash3.caseClassHash(this)
 }
 
 /** Candidate probe-order construction (Algorithm 1) and partitioning

@@ -26,9 +26,11 @@ final case class MirSlot(mirKey: String, start: String) extends SlotId {
   *               that ships the produced subresult into the MIR store
   * @param stepIds   the ids of the `costed` keys in the problem's step table
   * @param stepCosts the `costed` costs, as an array
+  * @param mirIds    the ids of the `mirsUsed` MIRs in the problem's MIR table
   */
 final case class Cand(d: Decorated, steps: Vector[Step], costed: Vector[(StepKey, Double)],
-                      mirsUsed: Vector[String])(val stepIds: Array[Int], val stepCosts: Array[Double]) {
+                      mirsUsed: Vector[String])(val stepIds: Array[Int], val stepCosts: Array[Double],
+                                                val mirIds: Array[Int]) {
   /** Sum of the costed costs, left to right from the first, as `Seq.sum` adds them. */
   def cost: Double = stepCosts.sum
   override def toString: String = d.toString
@@ -37,27 +39,47 @@ final case class Cand(d: Decorated, steps: Vector[Step], costed: Vector[(StepKey
 /** The multi-query optimization problem of Section V: slots, candidates,
   * shared step costs, and the MIR maintenance structure.
   *
-  * Steps are interned: `stepKeys(i)` is the key of step id `i` and
-  * `stepCosts(i)` its cost, as the last subquery to reach the key priced it
-  * (every subquery must agree; see `build`). Each candidate carries its step
-  * ids, so the solver searches ids, not keys.
+  * The problem is numbered, so the solver searches ints, not keys:
+  *  - slot id `s` is `slots(s)` with candidates `cands(s)`; the query slots
+  *    are `0 until numQuerySlots`, the maintenance slots follow in the order
+  *    `build` reached them;
+  *  - MIR id `m` is the MIR `mirKeys(m)`, maintained by the slots
+  *    `mirSlotIds(m)` (in `Mir.relations` order); only MIRs some candidate
+  *    uses have an id;
+  *  - step id `i` has key `stepKeys(i)` and cost `stepCosts(i)`, as the last
+  *    subquery to reach the key priced it (every subquery must agree; see
+  *    `build`).
+  * Each candidate carries its step and MIR ids. `querySlots`, `slotCands`,
+  * `mirSlots` and `stepCost` are keyed views of these tables.
   */
 final case class MqoProblem(
     queries: Vector[Query],
     catalog: Catalog,
     stats: Stats,
-    querySlots: Vector[SlotId],
-    mirSlots: Map[String, Vector[SlotId]], // mirKey -> maintenance slots
-    slotCands: Map[SlotId, Vector[Cand]],
+    slots: Array[SlotId],
+    numQuerySlots: Int,
+    cands: Array[Vector[Cand]], // shared with `slotCands`
+    mirKeys: Array[String],
+    mirSlotIds: Array[Array[Int]],
     stepKeys: Array[StepKey],
     stepCosts: Array[Double],
     mirByKey: Map[String, Mir],
 ) {
+  /** The query slots, in id order. */
+  lazy val querySlots: Vector[SlotId] = slots.take(numQuerySlots).toVector
+
+  /** Each slot's candidates, keyed by slot. */
+  lazy val slotCands: Map[SlotId, Vector[Cand]] = slots.indices.map(s => slots(s) -> cands(s)).toMap
+
+  /** Each maintained MIR's maintenance slots, keyed by MIR key. */
+  lazy val mirSlots: Map[String, Vector[SlotId]] =
+    mirKeys.indices.map(m => mirKeys(m) -> mirSlotIds(m).toVector.map(slots(_))).toMap
+
   /** Shared step cost table, keyed by step. */
   lazy val stepCost: Map[StepKey, Double] = stepKeys.indices.map(i => stepKeys(i) -> stepCosts(i)).toMap
 
   /** ILP x-variables: one per (slot, candidate). */
-  def numXVars: Int = slotCands.values.map(_.size).sum
+  lazy val numXVars: Int = cands.iterator.map(_.size).sum
 
   /** ILP y-variables: one per distinct step. */
   def numYVars: Int = stepKeys.length
@@ -72,7 +94,8 @@ object MqoProblem {
 
   /** Build the problem: enumerate MIRs per query (Section V), candidate probe
     * orders (Algorithm 1), apply partitioning candidates, generate maintenance
-    * probe orders for every non-base MIR, and intern the shared steps.
+    * probe orders for every non-base MIR, and number the slots, the MIRs
+    * and the shared steps where they are created.
     *
     * A slot's decorated orders are walked as a prefix tree: a step shared by
     * several decorations (same probed elements and partitionings up to it)
@@ -131,8 +154,20 @@ object MqoProblem {
         n
       }
 
-    val slotCands = mutable.LinkedHashMap[SlotId, Vector[Cand]]()
-    val mirSlots = mutable.LinkedHashMap[String, Vector[SlotId]]()
+    // Slot table: query slot ids are fixed in advance, maintenance slots are
+    // appended as build reaches them. MIR table: an MIR gets its id when a
+    // candidate first uses it, and its slot ids when build reaches it.
+    val numQuerySlots = qs.iterator.map(_.relations.size).sum
+    val slots = mutable.ArrayBuffer.fill[SlotId](numQuerySlots)(null)
+    val cands = mutable.ArrayBuffer.fill[Vector[Cand]](numQuerySlots)(null)
+    val mirIds = mutable.HashMap[String, Int]()
+    val mirKeys = mutable.ArrayBuffer[String]()
+    val mirSlotIds = mutable.ArrayBuffer[Array[Int]]() // null until build reaches the MIR
+    def mirId(mk: String): Int = mirIds.getOrElseUpdate(mk, {
+      mirKeys += mk
+      mirSlotIds += null
+      mirKeys.size - 1
+    })
 
     def mkCands(sub: Subquery, usableMirs: Set[Mir], slot: SlotId): Vector[Cand] = {
       val roots = mutable.ArrayBuffer[Node]()
@@ -144,6 +179,7 @@ object MqoProblem {
       }
       ProbeOrders.candidatesFrom(sub, usableMirs, slot.start).flatMap { po =>
         val mirsUsed = po.mirsUsed.map(_.key).toVector.sorted
+        val ids = mirsUsed.map(mirId).toArray
         ProbeOrders.decorate(po, partsOf).map { d =>
           val path = (1 until po.elems.size).foldLeft(Vector.empty[Node]) { (path, t) =>
             val (m, part) = (po.elems(t), d.parts(t - 1))
@@ -154,7 +190,7 @@ object MqoProblem {
           }
           val costed = path.map(_.costed) ++ insert.map(_._1)
           Cand(d, path.map(_.step), costed, mirsUsed)((path.map(_.id) ++ insert.map(_._2)).toArray,
-                                                      costed.map(_._2).toArray)
+                                                      costed.map(_._2).toArray, ids)
         }
       }
     }
@@ -163,31 +199,33 @@ object MqoProblem {
     // candidates use). Candidates of the MIR's subquery may themselves use
     // smaller MIRs of the pool with matching induced predicates.
     val pool = mirByKey.values.toSet
-    val mirDone = mutable.Set[String]()
-    def ensureMirSlots(mirKey: String): Unit = {
-      if (mirDone(mirKey)) return
-      mirDone += mirKey
-      val m = mirByKey(mirKey)
-      val sub = Subquery.ofMir(m, mirWindow(mirKey))
-      val slots = m.relations.map { start =>
-        val sid: SlotId = MirSlot(mirKey, start)
-        val cands = mkCands(sub, pool, sid)
-        slotCands(sid) = cands
-        cands.foreach(_.mirsUsed.foreach(ensureMirSlots))
-        sid
-      }
-      mirSlots(mirKey) = slots
+    def ensureMirSlots(id: Int): Unit = {
+      if (mirSlotIds(id) != null) return
+      mirSlotIds(id) = Array.emptyIntArray
+      val m = mirByKey(mirKeys(id))
+      val sub = Subquery.ofMir(m, mirWindow(m.key))
+      mirSlotIds(id) = m.relations.map { start =>
+        val sid: SlotId = MirSlot(m.key, start)
+        val cs = mkCands(sub, pool, sid)
+        slots += sid
+        cands += cs
+        val s = slots.size - 1
+        cs.foreach(_.mirIds.foreach(ensureMirSlots))
+        s
+      }.toArray
     }
 
-    val querySlots: Vector[SlotId] = qs.flatMap { q =>
+    var next = 0
+    for (q <- qs) {
       val sub = Subquery.ofQuery(q)
-      q.relations.toVector.sorted.map { start =>
+      q.relations.toVector.sorted.foreach { start =>
         val sid: SlotId = QuerySlot(q.name, start)
-        val cands = mkCands(sub, perQueryMirs(q.name), sid)
-        require(cands.nonEmpty, s"no probe order candidates for ${q.name} from $start — disconnected query?")
-        slotCands(sid) = cands
-        cands.foreach(_.mirsUsed.foreach(ensureMirSlots))
-        sid
+        val cs = mkCands(sub, perQueryMirs(q.name), sid)
+        require(cs.nonEmpty, s"no probe order candidates for ${q.name} from $start — disconnected query?")
+        slots(next) = sid
+        cands(next) = cs
+        next += 1
+        cs.foreach(_.mirIds.foreach(ensureMirSlots))
       }
     }
 
@@ -195,9 +233,11 @@ object MqoProblem {
       queries = qs,
       catalog = catalog,
       stats = stats,
-      querySlots = querySlots,
-      mirSlots = mirSlots.toMap,
-      slotCands = slotCands.toMap,
+      slots = slots.toArray,
+      numQuerySlots = numQuerySlots,
+      cands = cands.toArray,
+      mirKeys = mirKeys.toArray,
+      mirSlotIds = mirSlotIds.toArray,
       stepKeys = stepKeys.toArray,
       stepCosts = stepCosts.toArray,
       mirByKey = mirByKey.toMap,

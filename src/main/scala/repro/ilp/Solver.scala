@@ -1,7 +1,6 @@
 package repro.ilp
 
 import repro.core._
-import scala.collection.mutable
 
 /** Exact branch-and-bound solver for the MQO selection problem.
   *
@@ -20,24 +19,21 @@ import scala.collection.mutable
   *  - an optional node budget makes the solver anytime: when exhausted the
   *    incumbent is returned with `optimal = false` (like a MIP gap).
   *
-  * The search runs on an int-indexed form of the problem ([[Space]]), built
-  * once per call. `MqoProblem.build` already interned the steps: each
-  * candidate carries arrays of its step ids and costs (in `costed` order),
-  * which `Space` uses as they are, and the problem's `stepKeys` maps ids back
-  * to keys. `Space` numbers only the slots and MIRs, and gives each candidate
-  * an array of MIR ids (in `mirsUsed` order). The search state is arrays
-  * too: step reference counts, active MIRs, the current choice and a memo of
-  * maintenance estimates. Only the returned [[Solution]] is built from maps.
+  * The search runs on the problem's own ids: slots, MIRs and steps are
+  * numbered by `MqoProblem.build`, and each candidate carries arrays of its
+  * step ids and costs (in `costed` order) and of its MIR ids (in `mirsUsed`
+  * order). The search state is arrays indexed by those ids: step reference
+  * counts, active MIRs, the current choice and a memo of maintenance
+  * estimates. Only the returned [[Solution]] is built from maps.
   *
-  * The compiled search is the same search, floating-point operation for
-  * operation: candidates are ordered by `java.lang.Double.compare` on their
-  * score with ties broken by candidate index (what a stable `sortBy` gives);
-  * sums run left to right starting from their first term (what `Seq.sum`
-  * does on a non-empty sequence); the running cost is updated by the same
-  * `+=`/`-=` sequence across the greedy, descent and B&B phases; and nodes
-  * are counted as before. So the choice, steps, cost bits, optimality flag
-  * and node count of every solve are those of a search over the problem's
-  * own maps.
+  * Candidates are ordered by `java.lang.Double.compare` on their score, ties
+  * broken by candidate index (a stable sort); sums run left to right from
+  * their first term (as `Seq.sum` does); and the running cost sees one
+  * `+=`/`-=` sequence across the greedy, descent and B&B phases. No decision
+  * depends on how build numbered the slots and MIRs: the roots are the query
+  * slots in order, an activated MIR's slots are pending in `Mir.relations`
+  * order, descent walks slots in `SlotId.key` order, and MIR ids only index
+  * arrays.
   *
   * Validated against brute-force enumeration of the selection problem and
   * against brute-force minimization of the Algorithm 2 encoding (see tests).
@@ -60,82 +56,15 @@ object Solver {
 
   /** Solve for all queries of the problem. */
   def solve(p: MqoProblem, nodeBudget: Long = 500000L): Solution = {
-    require(p.querySlots.forall(s => p.slotCands(s).nonEmpty), "empty query slot")
-    new Search(Space(p), nodeBudget).run()
+    require((0 until p.numQuerySlots).forall(p.cands(_).nonEmpty), "empty query slot")
+    new Search(p, nodeBudget).run()
   }
 
-  /** The problem indexed by ints. Slots are numbered query slots first (in
-    * `querySlots` order), then maintenance slots as the MIRs are reached.
-    * Candidates are numbered globally; slot `s` owns the candidates
-    * `first(s) until first(s) + count(s)`, in `slotCands` order, so a local
-    * candidate index is a global id minus `first(s)`. Step ids and costs are
-    * the candidates' own (`Cand.stepIds`, `Cand.stepCosts`).
-    */
-  private final class Space(
-      val slots: Array[SlotId],
-      val numQuerySlots: Int,
-      val first: Array[Int],
-      val count: Array[Int],
-      val candSteps: Array[Array[Int]],   // step ids, in `costed` order
-      val candCosts: Array[Array[Double]], // their costs, in `costed` order
-      val candCost: Array[Double],        // `Cand.cost`
-      val candMirs: Array[Array[Int]],    // MIR ids, in `mirsUsed` order
-      val mirSlots: Array[Array[Int]],
-      val stepKeys: Array[StepKey],
-  ) {
-    def numSlots: Int = slots.length
-    def numCands: Int = candCost.length
-    def numMirs: Int = mirSlots.length
-    /** Slots ordered by `SlotId.key`. */
-    val byKey: Array[Int] = slots.indices.sortBy(slots(_).key).toArray
-  }
-
-  private object Space {
-    def apply(p: MqoProblem): Space = {
-      val slots = mutable.ArrayBuffer[SlotId](p.querySlots: _*)
-      val mirIds = mutable.HashMap[String, Int]()
-      val mirSlots = mutable.ArrayBuffer[Array[Int]]()
-      val first, count = mutable.ArrayBuilder.make[Int]
-      val candSteps = mutable.ArrayBuilder.make[Array[Int]]
-      val candCosts = mutable.ArrayBuilder.make[Array[Double]]
-      val candCost = mutable.ArrayBuilder.make[Double]
-      val candMirs = mutable.ArrayBuilder.make[Array[Int]]
-
-      def mirId(mk: String): Int = mirIds.getOrElse(mk, {
-        val id = mirSlots.size
-        mirIds(mk) = id
-        val ss = p.mirSlots(mk)
-        mirSlots += Array.tabulate(ss.size)(j => slots.size + j)
-        slots ++= ss
-        id
-      })
-
-      var s = 0
-      var nCands = 0
-      while (s < slots.size) { // grows as MIRs are reached
-        val cands = p.slotCands(slots(s))
-        first += nCands
-        count += cands.size
-        cands.foreach { c =>
-          candSteps += c.stepIds
-          candCosts += c.stepCosts
-          candCost += c.cost
-          candMirs += c.mirsUsed.map(mirId).toArray
-        }
-        nCands += cands.size
-        s += 1
-      }
-      new Space(slots.toArray, p.querySlots.size, first.result(), count.result(), candSteps.result(),
-                candCosts.result(), candCost.result(), candMirs.result(),
-                mirSlots.toArray, p.stepKeys)
-    }
-  }
-
-  /** Depth-first search state over a [[Space]]. */
-  private final class Search(sp: Space, nodeBudget: Long) {
-    private val stepRef = new Array[Int](sp.stepKeys.length)
+  /** Depth-first search state over the numbered problem. */
+  private final class Search(p: MqoProblem, nodeBudget: Long) {
+    private val stepRef = new Array[Int](p.stepKeys.length)
     private var curCost = 0.0
-    private val choice = Array.fill(sp.numSlots)(-1) // local candidate index, -1 when unassigned
+    private val choice = Array.fill(p.slots.length)(-1) // candidate index, -1 when unassigned
     private var nodes = 0L
     private var exhausted = true
     private var bestCost = Double.PositiveInfinity
@@ -143,19 +72,19 @@ object Solver {
 
     // Pending slots: a path's pending list is `pending(head until tail)`;
     // a node appends the slots of the MIRs it activates at `tail`.
-    private val pending = new Array[Int](sp.numSlots)
-    private val active = new Array[Boolean](sp.numMirs)
-    private val activated = new Array[Int](sp.numMirs) // stack of MIRs to deactivate on backtrack
+    private val pending = new Array[Int](p.slots.length)
+    private val active = new Array[Boolean](p.mirKeys.length)
+    private val activated = new Array[Int](p.mirKeys.length) // stack of MIRs to deactivate on backtrack
     private var numActivated = 0
 
     // Candidate orders of the nodes on the current path, stacked.
-    private val order = new Array[Int](sp.numCands)
+    private val order = new Array[Int](p.numXVars)
     private var orderTop = 0
-    private val score = new Array[Double](if (sp.count.isEmpty) 0 else sp.count.max)
+    private val score = new Array[Double](if (p.cands.isEmpty) 0 else p.cands.iterator.map(_.size).max)
 
-    private def add(c: Int): Unit = {
-      val ks = sp.candSteps(c)
-      val cs = sp.candCosts(c)
+    private def add(c: Cand): Unit = {
+      val ks = c.stepIds
+      val cs = c.stepCosts
       var j = 0
       while (j < ks.length) {
         val r = stepRef(ks(j))
@@ -165,9 +94,9 @@ object Solver {
       }
     }
 
-    private def remove(c: Int): Unit = {
-      val ks = sp.candSteps(c)
-      val cs = sp.candCosts(c)
+    private def remove(c: Cand): Unit = {
+      val ks = c.stepIds
+      val cs = c.stepCosts
       var j = 0
       while (j < ks.length) {
         val r = stepRef(ks(j)) - 1
@@ -177,9 +106,9 @@ object Solver {
       }
     }
 
-    private def marginal(c: Int): Double = {
-      val ks = sp.candSteps(c)
-      val cs = sp.candCosts(c)
+    private def marginal(c: Cand): Double = {
+      val ks = c.stepIds
+      val cs = c.stepCosts
       if (ks.isEmpty) return 0.0
       var sum = if (stepRef(ks(0)) > 0) 0.0 else cs(0)
       var j = 1
@@ -193,22 +122,21 @@ object Solver {
     // Rough (non-admissible, ordering-only) estimate of what activating an
     // MIR adds in maintenance cost: per maintenance slot, the cheapest
     // candidate plus the estimates of the MIRs it uses.
-    private val maintEst = new Array[Double](sp.numMirs)
-    private val maintKnown = new Array[Boolean](sp.numMirs)
+    private val maintEst = new Array[Double](p.mirKeys.length)
+    private val maintKnown = new Array[Boolean](p.mirKeys.length)
 
     private def maintenanceEstimate(m: Int): Double = {
       if (maintKnown(m)) return maintEst(m)
       maintKnown(m) = true // break recursion on (impossible) cycles
-      val ss = sp.mirSlots(m)
+      val ss = p.mirSlotIds(m)
       var est = 0.0
       var j = 0
       while (j < ss.length) {
-        val s = ss(j)
+        val cs = p.cands(ss(j))
         var slotEst = 0.0
         var k = 0
-        while (k < sp.count(s)) {
-          val c = sp.first(s) + k
-          val v = sp.candCost(c) + sumEstimates(c, skipActive = false)
+        while (k < cs.size) {
+          val v = cs(k).cost + sumEstimates(cs(k), skipActive = false)
           if (k == 0 || java.lang.Double.compare(slotEst, v) > 0) slotEst = v
           k += 1
         }
@@ -222,8 +150,8 @@ object Solver {
     /** Sum of the maintenance estimates of candidate `c`'s MIRs (only the
       * inactive ones when `skipActive`).
       */
-    private def sumEstimates(c: Int, skipActive: Boolean): Double = {
-      val ms = sp.candMirs(c)
+    private def sumEstimates(c: Cand, skipActive: Boolean): Double = {
+      val ms = c.mirIds
       var sum = 0.0
       var any = false
       var j = 0
@@ -238,7 +166,7 @@ object Solver {
       sum
     }
 
-    private def orderingScore(c: Int): Double = marginal(c) + sumEstimates(c, skipActive = true)
+    private def orderingScore(c: Cand): Double = marginal(c) + sumEstimates(c, skipActive = true)
 
     private def record(): Unit =
       if (curCost < bestCost - Eps) {
@@ -246,14 +174,13 @@ object Solver {
         bestChoice = choice.clone()
       }
 
-    /** Order slot `s`'s candidates by score, ties by index, into
-      * `order(base until base + n)` (stable insertion sort).
+    /** Order the candidates `cs` by score, ties by index, into
+      * `order(base until base + cs.size)` (stable insertion sort).
       */
-    private def sortCandidates(s: Int, base: Int): Unit = {
-      val f = sp.first(s)
+    private def sortCandidates(cs: Vector[Cand], base: Int): Unit = {
       var k = 0
-      while (k < sp.count(s)) {
-        val sc = orderingScore(f + k)
+      while (k < cs.size) {
+        val sc = orderingScore(cs(k))
         score(k) = sc
         var j = base + k
         while (j > base && java.lang.Double.compare(score(order(j - 1)), sc) > 0) {
@@ -269,15 +196,16 @@ object Solver {
       if (!greedyOnly && nodes > nodeBudget) { exhausted = false; return }
       if (head == tail) { record(); return }
       val s = pending(head)
-      val n = sp.count(s)
+      val cs = p.cands(s)
+      val n = cs.size
       val base = orderTop
-      sortCandidates(s, base)
+      sortCandidates(cs, base)
       orderTop += n
       val toTry = if (greedyOnly) math.min(n, 1) else n
       var t = 0
       while (t < toTry) {
         val i = order(base + t)
-        val c = sp.first(s) + i
+        val c = cs(i)
         nodes += 1
         if (!greedyOnly && nodes > nodeBudget) { exhausted = false; t = toTry }
         else {
@@ -285,7 +213,7 @@ object Solver {
           if (curCost < bestCost - Eps) {
             val mark = numActivated
             var newTail = tail
-            val ms = sp.candMirs(c)
+            val ms = c.mirIds
             var j = 0
             while (j < ms.length) {
               val m = ms(j)
@@ -293,7 +221,7 @@ object Solver {
                 active(m) = true
                 activated(numActivated) = m
                 numActivated += 1
-                val ss = sp.mirSlots(m)
+                val ss = p.mirSlotIds(m)
                 System.arraycopy(ss, 0, pending, newTail, ss.length)
                 newTail += ss.length
               }
@@ -320,34 +248,35 @@ object Solver {
     // Coordinate descent on the incumbent: re-pick each slot's candidate to
     // the cheapest marginal, restricted to moves that keep the candidate's
     // MIR usage (so the active slot set stays valid). Captures cross-query
-    // sharing far better than a single greedy pass.
+    // sharing far better than a single greedy pass. Slots are walked in
+    // `SlotId.key` order.
     private def descend(): Unit = {
       if (!bestCost.isFinite) return
       val assign = bestChoice.clone()
-      val assigned = sp.byKey.filter(assign(_) >= 0)
-      assigned.foreach(s => add(sp.first(s) + assign(s)))
+      val assigned = assign.indices.filter(assign(_) >= 0).sortBy(p.slots(_).key)
+      assigned.foreach(s => add(p.cands(s)(assign(s))))
       var sweeps = 0
       var improvedAny = true
       while (improvedAny && sweeps < 25) {
         improvedAny = false
         sweeps += 1
         assigned.foreach { s =>
-          val f = sp.first(s)
+          val cs = p.cands(s)
           val curIdx = assign(s)
-          val cur = f + curIdx
+          val cur = cs(curIdx)
           remove(cur)
           var bestIdx = curIdx
           var bestMarg = marginal(cur)
           var i = 0
-          while (i < sp.count(s)) {
+          while (i < cs.size) {
             // equal MIR id arrays iff equal `mirsUsed`
-            if (i != curIdx && java.util.Arrays.equals(sp.candMirs(f + i), sp.candMirs(cur))) {
-              val mg = marginal(f + i)
+            if (i != curIdx && java.util.Arrays.equals(cs(i).mirIds, cur.mirIds)) {
+              val mg = marginal(cs(i))
               if (mg < bestMarg - Eps) { bestMarg = mg; bestIdx = i }
             }
             i += 1
           }
-          add(f + bestIdx)
+          add(cs(bestIdx))
           if (bestIdx != curIdx) { assign(s) = bestIdx; improvedAny = true }
         }
       }
@@ -355,13 +284,13 @@ object Solver {
         bestCost = curCost
         bestChoice = assign
       }
-      assigned.foreach(s => remove(sp.first(s) + assign(s)))
+      assigned.foreach(s => remove(p.cands(s)(assign(s))))
     }
 
     def run(): Solution = {
       // Multi-start greedy incumbents (cheap), improved by coordinate descent,
       // then exact branch-and-bound within the node budget.
-      val roots = Vector.range(0, sp.numQuerySlots)
+      val roots = Vector.range(0, p.numQuerySlots)
       val shuffles = Vector(roots, roots.reverse) ++
         Seq(7L, 23L).map(seed => new scala.util.Random(seed).shuffle(roots))
       shuffles.foreach(o => solveFrom(o, greedyOnly = true))
@@ -371,8 +300,8 @@ object Solver {
       require(bestCost.isFinite, "no feasible selection found")
       val chosen = bestChoice.indices.filter(bestChoice(_) >= 0)
       Solution(
-        choice = chosen.map(s => sp.slots(s) -> bestChoice(s)).toMap,
-        steps = chosen.flatMap(s => sp.candSteps(sp.first(s) + bestChoice(s))).map(sp.stepKeys).toSet,
+        choice = chosen.map(s => p.slots(s) -> bestChoice(s)).toMap,
+        steps = chosen.flatMap(s => p.cands(s)(bestChoice(s)).stepIds).map(p.stepKeys).toSet,
         cost = bestCost,
         optimal = exhausted,
         nodes = nodes,

@@ -190,8 +190,42 @@ class PropertySpec extends AnyFunSuite {
     }
   }
 
-  test("property: interned step ids agree with step keys and costs") {
+  test("property: interned slot, MIR and step ids agree with their keys and costs") {
     builtProblems.foreach { p =>
+      // Slot ids: query slots first, in `querySlots` order, then the maintenance slots.
+      val expectedQuerySlots = p.queries.flatMap(q => q.relations.toVector.sorted.map(QuerySlot(q.name, _)))
+      assert(p.numQuerySlots == p.querySlots.size && p.querySlots == expectedQuerySlots)
+      assert((0 until p.numQuerySlots).map(p.slots(_)) == p.querySlots)
+      assert(p.slots.drop(p.numQuerySlots).forall(_.isInstanceOf[MirSlot]))
+      assert(p.slots.distinct.length == p.slots.length && p.cands.length == p.slots.length)
+      // Each slot's candidates start where the slot does; a maintenance slot's insert into its own MIR.
+      p.slots.indices.foreach { s =>
+        p.cands(s).foreach { c =>
+          assert(c.d.po.start == p.slots(s).start, s"slot $s: $c")
+          p.slots(s) match {
+            case MirSlot(mk, start) => assert(c.costed.last._1 == CostModel.insertKey(mk, start), s"slot $s: $c")
+            case _: QuerySlot       =>
+          }
+        }
+      }
+      // MIR ids: a MIR's slot ids are its maintenance slots, one per relation, in `relations` order.
+      assert(p.mirKeys.distinct.length == p.mirKeys.length && p.mirSlotIds.length == p.mirKeys.length)
+      p.mirKeys.indices.foreach { m =>
+        val mk = p.mirKeys(m)
+        val ss = p.mirSlotIds(m).toVector.map(p.slots(_))
+        assert(ss == p.mirByKey(mk).relations.map(MirSlot(mk, _)), s"MIR $m ($mk)")
+        assert(ss == p.mirSlots(mk))
+      }
+      assert(((0 until p.numQuerySlots) ++ p.mirSlotIds.flatMap(_.toVector)).sorted == p.slots.indices)
+      // The keyed views are the numbered tables.
+      assert(p.slotCands == p.slots.indices.map(s => p.slots(s) -> p.cands(s)).toMap)
+      assert(p.mirSlots == p.mirKeys.indices.map(m => p.mirKeys(m) -> p.mirSlotIds(m).toVector.map(p.slots(_))).toMap)
+      // Every used MIR has an id, and a candidate's MIR ids name its `mirsUsed`, in order.
+      assert(allCands(p).flatMap(_._2.mirsUsed).toSet == p.mirKeys.toSet)
+      allCands(p).foreach { case (sid, c) =>
+        assert(c.mirIds.toVector.map(p.mirKeys(_)) == c.mirsUsed, s"$sid: $c")
+      }
+
       val idOf = mutable.Map[StepKey, Int]()
       allCands(p).foreach { case (sid, c) =>
         assert(c.stepIds.length == c.costed.size && c.stepCosts.length == c.costed.size)

@@ -24,8 +24,8 @@ final class AdaptiveController(
 ) extends Controller {
   import AdaptiveController._
 
-  private var lastPlanKey: Option[(Set[String], Set[StepKey])] = None
-  private var lastSelection: Option[Selection] = None
+  /** The installed plan; its query names and costed steps decide whether a new plan rewires. */
+  private var installed: Option[Selection] = None
   var reoptimizations = 0
   var installs = 0
   var bootstraps = 0
@@ -36,11 +36,10 @@ final class AdaptiveController(
     if (qs.isEmpty) {
       // All queries expired: install an empty configuration once so stores
       // can be reference-count-collected after their windows pass.
-      val key = (Set.empty[String], Set.empty[StepKey])
-      if (lastPlanKey.isDefined && !lastPlanKey.contains(key)) {
-        sim.installConfig(if (epoch == 0) 0L else epoch + 1,
-                          Topology.build(Selection(Vector.empty, Vector.empty), catalog))
-        lastPlanKey = Some(key)
+      val empty = Selection(Vector.empty, Vector.empty)
+      if (installed.exists(planKey(_) != planKey(empty))) {
+        sim.installConfig(if (epoch == 0) 0L else epoch + 1, Topology.build(empty, catalog))
+        installed = Some(empty)
         installs += 1
       }
       return
@@ -55,11 +54,12 @@ final class AdaptiveController(
       reoptimizations += 1
       val planned = Planner.mqo(qs, catalog, st, NodeBudget)
       val key = (qs.map(_.name).toSet, planned.solution.steps)
-      val queriesChanged = lastPlanKey.forall(_._1 != qs.map(_.name).toSet)
-      val clearlyBetter = lastSelection.forall { cur =>
+      val installedKey = installed.map(planKey)
+      val queriesChanged = installedKey.forall(_._1 != key._1)
+      val clearlyBetter = installed.forall { cur =>
         planned.solution.cost < Hysteresis * Planner.selectionCost(cur, st, catalog)
       }
-      if (!lastPlanKey.contains(key) && (queriesChanged || clearlyBetter)) {
+      if (!installedKey.contains(key) && (queriesChanged || clearlyBetter)) {
         val topo = Topology.build(planned.selection, catalog)
         val windowEpochs = math.ceil(window / sim.params.epochLen).toLong
         // Section VI.B bootstrap: when the new configuration only uses store
@@ -77,8 +77,7 @@ final class AdaptiveController(
             retro
           } else epoch + 1
         sim.installConfig(target, topo)
-        lastPlanKey = Some(key)
-        lastSelection = Some(planned.selection)
+        installed = Some(planned.selection)
         installs += 1
       }
     }
@@ -90,6 +89,12 @@ final class AdaptiveController(
 }
 
 object AdaptiveController {
+  /** What a plan installs: its query names and the union of its orders' costed
+    * steps (for a solved plan, `Solution.steps`).
+    */
+  private def planKey(sel: Selection): (Set[String], Set[StepKey]) =
+    (sel.queries.map(_.name).toSet, sel.orders.flatMap(_._2.costed.map(_._1)).toSet)
+
   /** Solver node budget of every Fig 8 plan, static and adaptive, so the two
     * strategies differ only in when they re-plan.
     */

@@ -11,7 +11,7 @@ package repro.core
   * A maintenance order of an MIR pays one more step: inserting the subresult
   * it produces into the MIR's store (Section IV: an MIR store pays off when
   * the intermediate result is small). This object is the only place that
-  * prices either kind of step; `costed` gives a candidate's full cost vector.
+  * prices either kind of step.
   */
 object CostModel {
 
@@ -42,18 +42,4 @@ object CostModel {
     */
   def insertCost(sub: Subquery, stats: Stats): Double =
     stats.joinCard(sub.relations, sub.predicates) / sub.relations.size
-
-  /** (step key, cost) pairs a candidate of `slot` pays: Eq. 1 for each probe
-    * step of `sub`, then, for a maintenance slot, its insert step. This is
-    * what `MqoProblem.build` records in `Cand.costed`, re-priced under other
-    * statistics.
-    */
-  def costed(slot: SlotId, sub: Subquery, steps: Vector[Step], stats: Stats,
-             catalog: Catalog): Vector[(StepKey, Double)] = {
-    val probes = steps.map(s => s.key -> stepCost(s, stats, catalog))
-    slot match {
-      case MirSlot(mk, start) => probes :+ (insertKey(mk, start) -> insertCost(sub, stats))
-      case _: QuerySlot       => probes
-    }
-  }
 }

@@ -16,15 +16,10 @@ final case class Selection(
   /** Probe cost when identical steps (probe steps and MIR insert steps) are
     * executed once (Shared / CMQO).
     */
-  def sharedCost: Double = Selection.distinctCost(orders.flatMap(_._2.costed))
+  def sharedCost: Double = orders.flatMap(_._2.costed).toMap.values.sum
 
   /** All store instances probed by some step. */
   def probedStores: Set[StoreRef] = distinctSteps.values.map(_.targetRef).toSet
-}
-
-object Selection {
-  /** Sum of the costs of the distinct step keys among `costed`. */
-  private[core] def distinctCost(costed: Vector[(StepKey, Double)]): Double = costed.toMap.values.sum
 }
 
 /** Planning strategies of Section VII.A:
@@ -54,16 +49,6 @@ object Planner {
       val p = MqoProblem.build(Seq(q), catalog, stats)
       Planned(p, Solver.solve(p, nodeBudget))
     }
-
-  /** Re-cost an existing selection under (possibly newer) statistics: every
-    * order is re-priced by `CostModel.costed` and the distinct steps are
-    * summed as `sharedCost` sums them. Used for reconfiguration hysteresis
-    * (only rewire on a clear improvement).
-    */
-  def selectionCost(sel: Selection, stats: Stats, catalog: Catalog): Double =
-    Selection.distinctCost(sel.orders.flatMap { case (sid, c) =>
-      CostModel.costed(sid, c.d.po.sub, c.steps, stats, catalog)
-    })
 
   /** Merge individually optimal plans into one shared selection: stores and
     * identical steps are deduplicated, but plan *choice* stays locally optimal.

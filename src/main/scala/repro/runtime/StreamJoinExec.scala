@@ -91,15 +91,13 @@ object StreamJoinExec {
       .reduce(_ union _)
   }
 
-  /** Exact number of tuples sent by step t (1-based) of a decorated probe
-    * order on this data: the count of partial results after joining the first
-    * t elements — restricted to start-latest-within-prefix and pairwise
-    * window — times the broadcast factor χ. This is the ground truth the cost
+  /** Exact number of tuples sent by `step` (step t of a decorated probe order
+    * is `Decorated.step(t)`, 1-based) on this data: the count of partial
+    * results after joining the first t elements — restricted to
+    * start-latest-within-prefix and pairwise window — times the broadcast
+    * factor χ. This is the ground truth the cost
     * model (Eq. 1) estimates and the event simulator must match exactly.
     */
-  def stepSentCount(d: Decorated, t: Int, inputs: Map[String, DataFrame], catalog: Catalog): Long =
-    stepSentCount(d.step(t), inputs, catalog)
-
   def stepSentCount(step: Step, inputs: Map[String, DataFrame], catalog: Catalog): Long = {
     val covered = step.coveredRels
     val start = step.start

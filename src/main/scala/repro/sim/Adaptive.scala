@@ -14,7 +14,9 @@ import repro.core._
   * Every plan is solved with `AdaptiveController.NodeBudget` nodes. A plan
   * for an unchanged query set is installed only when its cost is below
   * `AdaptiveController.Hysteresis` times the installed plan's cost re-priced
-  * under the same statistics.
+  * under the same statistics: its steps' costs summed in the step table of
+  * the problem just built, which for value-equal queries holds every
+  * installed step (enumeration never reads the statistics).
   */
 final class AdaptiveController(
     queriesAt: Double => Vector[Query],
@@ -24,8 +26,10 @@ final class AdaptiveController(
 ) extends Controller {
   import AdaptiveController._
 
-  /** The installed plan; its query names and costed steps decide whether a new plan rewires. */
-  private var installed: Option[Selection] = None
+  /** The installed plan: its queries and its steps (`Solution.steps`). The
+    * empty configuration, like the state before the first install, is (∅, ∅).
+    */
+  private var installed: (Set[Query], Set[StepKey]) = Empty
   var reoptimizations = 0
   var installs = 0
   var bootstraps = 0
@@ -36,15 +40,16 @@ final class AdaptiveController(
     if (qs.isEmpty) {
       // All queries expired: install an empty configuration once so stores
       // can be reference-count-collected after their windows pass.
-      val empty = Selection(Vector.empty, Vector.empty)
-      if (installed.exists(planKey(_) != planKey(empty))) {
-        sim.installConfig(if (epoch == 0) 0L else epoch + 1, Topology.build(empty, catalog))
-        installed = Some(empty)
+      if (installed != Empty) {
+        sim.installConfig(if (epoch == 0) 0L else epoch + 1,
+                          Topology.build(Selection(Vector.empty, Vector.empty), catalog))
+        installed = Empty
         installs += 1
       }
       return
     }
     val window = qs.map(_.window).max
+    val windowEpochs = math.ceil(window / sim.params.epochLen).toLong
 
     val stats =
       if (epoch == 0 || !useEstimates) Some(initialStats)
@@ -53,15 +58,13 @@ final class AdaptiveController(
     stats.foreach { st =>
       reoptimizations += 1
       val planned = Planner.mqo(qs, catalog, st, NodeBudget)
-      val key = (qs.map(_.name).toSet, planned.solution.steps)
-      val installedKey = installed.map(planKey)
-      val queriesChanged = installedKey.forall(_._1 != key._1)
-      val clearlyBetter = installed.forall { cur =>
-        planned.solution.cost < Hysteresis * Planner.selectionCost(cur, st, catalog)
-      }
-      if (!installedKey.contains(key) && (queriesChanged || clearlyBetter)) {
+      val plan = (qs.toSet, planned.solution.steps)
+      val queriesChanged = installed._1 != plan._1
+      // read only when the queries are unchanged
+      def clearlyBetter =
+        planned.solution.cost < Hysteresis * installed._2.iterator.map(planned.problem.stepCost).sum
+      if (plan != installed && (queriesChanged || clearlyBetter)) {
         val topo = Topology.build(planned.selection, catalog)
-        val windowEpochs = math.ceil(window / sim.params.epochLen).toLong
         // Section VI.B bootstrap: when the new configuration only uses store
         // instances that every configuration over the last window already
         // maintained — e.g. a new query over relations other queries already
@@ -77,23 +80,18 @@ final class AdaptiveController(
             retro
           } else epoch + 1
         sim.installConfig(target, topo)
-        installed = Some(planned.selection)
+        installed = plan
         installs += 1
       }
     }
     // keep a window of epochs: the selectivity estimator matches against the
     // union of samples over the last window
-    val windowEpochs = math.ceil(window / sim.params.epochLen).toLong
     sim.samples.prune(epoch - windowEpochs - 2)
   }
 }
 
 object AdaptiveController {
-  /** What a plan installs: its query names and the union of its orders' costed
-    * steps (for a solved plan, `Solution.steps`).
-    */
-  private def planKey(sel: Selection): (Set[String], Set[StepKey]) =
-    (sel.queries.map(_.name).toSet, sel.orders.flatMap(_._2.costed.map(_._1)).toSet)
+  private val Empty: (Set[Query], Set[StepKey]) = (Set.empty, Set.empty)
 
   /** Solver node budget of every Fig 8 plan, static and adaptive, so the two
     * strategies differ only in when they re-plan.

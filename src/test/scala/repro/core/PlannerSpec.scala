@@ -99,8 +99,8 @@ class PlannerSpec extends AnyFunSuite {
     assert(q1Parts.contains(Attr("T", "c"))) // q2's join attribute offered to q1
   }
 
-  test("re-costing a plan under its own statistics reproduces the solver's cost") {
-    // the adaptive hysteresis compares a new plan's cost with this re-cost
+  test("a plan's steps priced by its problem's step table reproduce the solver's cost") {
+    // the adaptive hysteresis re-prices the installed plan's steps this way
     val window = 5.0
     val card = 200.0 * window
     val fig8b = (Vector(Artificial.query(window)), Artificial.catalog(), Stats(
@@ -118,7 +118,8 @@ class PlannerSpec extends AnyFunSuite {
       val planned = Planner.mqo(queries, cat, st)
       assert(planned.selection.orders.exists(_._1.isInstanceOf[MirSlot]))
       val cost = planned.solution.cost
-      assert(math.abs(Planner.selectionCost(planned.selection, st, cat) - cost) <= 1e-9 * cost)
+      val priced = planned.solution.steps.iterator.map(planned.problem.stepCost).sum
+      assert(math.abs(priced - cost) <= 1e-9 * cost)
       planned.problem.slotCands.foreach {
         case (MirSlot(mk, start), cands) =>
           cands.foreach(c => assert(c.costed.last._1 == CostModel.insertKey(mk, start)))

@@ -90,7 +90,7 @@ class StreamJoinExecSpec extends SparkSpec {
       .flatMap(ProbeOrders.decorate(_, parts))
       .head
     val chi = CostModel.chi(d.step(1), catalog).toLong
-    assert(StreamJoinExec.stepSentCount(d, 1, dfs, catalog) == dfs("R").count() * chi)
+    assert(StreamJoinExec.stepSentCount(d.step(1), dfs, catalog) == dfs("R").count() * chi)
   }
 
   test("step sent counts decrease along a selective chain") {
@@ -101,7 +101,7 @@ class StreamJoinExecSpec extends SparkSpec {
       .flatMap(ProbeOrders.decorate(_, parts))
       .filter(x => x.steps.forall(_.routed))
       .head
-    val counts = (1 until d.po.elems.size).map(t => StreamJoinExec.stepSentCount(d, t, dfs, catalog))
+    val counts = (1 until d.po.elems.size).map(t => StreamJoinExec.stepSentCount(d.step(t), dfs, catalog))
     // joins are 1:1 and "start latest" halves each extension
     assert(counts.head >= counts.last)
   }

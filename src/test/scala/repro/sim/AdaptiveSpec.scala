@@ -116,4 +116,34 @@ class AdaptiveSpec extends AnyFunSuite {
     val firstBucket = m.latencyBuckets.keys.collect { case (q, s) if q == query.name => s }.min
     assert(firstBucket >= 5)
   }
+
+  test("query redefinition: a new window under the same name is installed") {
+    val sim = new EventSim(catalog, SimParams(deterministic = true))
+    val ctrl = new AdaptiveController(
+      t => Vector(if (t < 8.0) Artificial.query(1.0) else Artificial.query(3.0)),
+      catalog, initialStats())
+    sim.run(Artificial.tiny(200), controller = Some(ctrl))
+    assert(sim.configFor(15L).map(_.queryWindows).contains(Map(query.name -> 3.0)))
+  }
+
+  test("query re-arrival: the empty configuration, then the returning plan") {
+    val sim = new EventSim(catalog, SimParams(deterministic = true))
+    val ctrl = new AdaptiveController(
+      t => if (t < 10.0 || t >= 20.0) Vector(query) else Vector.empty,
+      catalog, initialStats())
+    // the sim collects configurations older than a window, so record each
+    // epoch's active query windows as the run passes it
+    val active = scala.collection.mutable.Map[Long, Map[String, Double]]()
+    val recorder = new Controller {
+      def onEpoch(epoch: Long, sim: EventSim): Unit = {
+        ctrl.onEpoch(epoch, sim)
+        sim.configFor(epoch).foreach(topo => active(epoch) = topo.queryWindows)
+      }
+    }
+    val m = sim.run(Artificial.tiny(300), controller = Some(recorder)) // 30 s
+    assert(active.get(15L).contains(Map.empty[String, Double]))
+    assert(active.get(25L).contains(Map(query.name -> query.window)))
+    // results resume once the returning plan is installed
+    assert(m.latencyBuckets.keys.exists { case (q, s) => q == query.name && s >= 20 })
+  }
 }

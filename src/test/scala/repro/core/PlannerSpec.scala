@@ -99,8 +99,9 @@ class PlannerSpec extends AnyFunSuite {
     assert(q1Parts.contains(Attr("T", "c"))) // q2's join attribute offered to q1
   }
 
-  test("a plan's steps priced by its problem's step table reproduce the solver's cost") {
-    // the adaptive hysteresis re-prices the installed plan's steps this way
+  test("re-costing a plan under its own statistics reproduces the solver's cost") {
+    // re-costing prices the plan's steps by its problem's step table, as the
+    // adaptive hysteresis re-prices the installed plan
     val window = 5.0
     val card = 200.0 * window
     val fig8b = (Vector(Artificial.query(window)), Artificial.catalog(), Stats(

@@ -8,19 +8,7 @@ import repro.ilp.Solver
 final case class Selection(
     queries: Vector[Query],
     orders: Vector[(SlotId, Cand)],
-) {
-  /** Distinct physical steps of the selection (shared prefixes counted once). */
-  def distinctSteps: Map[StepKey, Step] =
-    orders.flatMap { case (_, c) => c.steps.map(s => s.key -> s) }.toMap
-
-  /** Probe cost when identical steps (probe steps and MIR insert steps) are
-    * executed once (Shared / CMQO).
-    */
-  def sharedCost: Double = orders.flatMap(_._2.costed).toMap.values.sum
-
-  /** All store instances probed by some step. */
-  def probedStores: Set[StoreRef] = distinctSteps.values.map(_.targetRef).toSet
-}
+)
 
 /** Planning strategies of Section VII.A:
   *  - `mqo`: global ILP over all queries (CLASH-MQO);
@@ -54,9 +42,9 @@ object Planner {
     * identical steps are deduplicated, but plan *choice* stays locally optimal.
     */
   def sharedFromIndividual(planned: Seq[Planned]): Selection = {
-    val orders = planned.toVector.flatMap(_.selection.orders)
-    // Deduplicate maintenance slots selected by several queries for the same MIR.
-    val dedup = orders.groupBy { case (sid, c) => (sid.key, c.d.toString) }.values.map(_.head).toVector
-    Selection(planned.toVector.flatMap(_.problem.queries), dedup)
+    // One order per slot: a maintenance slot selected by several queries for
+    // the same MIR is kept once, as `Topology.build` expects.
+    val orders = planned.toVector.flatMap(_.selection.orders).distinctBy(_._1)
+    Selection(planned.toVector.flatMap(_.problem.queries), orders)
   }
 }

@@ -12,8 +12,6 @@ final case class ProbeOrder(sub: Subquery, start: String, elems: Vector[Mir]) {
   /** Relations covered by elements 0..t (inclusive). */
   def coveredAfter(t: Int): Set[String] = elems.take(t + 1).flatMap(_.relations).toSet
 
-  def length: Int = elems.size
-
   /** Non-base MIRs this probe order relies on (they must be maintained). */
   def mirsUsed: Set[Mir] = elems.filterNot(_.isBase).toSet
 

@@ -57,15 +57,11 @@ object Topology {
   def build(sel: Selection, catalog: Catalog): Topology = {
     val children = mutable.Map[String, mutable.LinkedHashSet[String]]()
     val emits = mutable.Map[String, mutable.LinkedHashSet[String]]()
-    val storeInto = mutable.Map[String, mutable.LinkedHashSet[StoreRef]]()
     val stepOf = mutable.LinkedHashMap[String, Step]()
     val windowOf = mutable.Map[String, Double]()
     val roots = mutable.Map[String, mutable.LinkedHashSet[String]]()
-
-    // Store instances of a given MIR probed anywhere in the selection —
-    // maintenance results must be inserted into each of them.
-    val probedByMir: Map[String, Vector[StoreRef]] =
-      sel.probedStores.groupBy(_.mir.key).view.mapValues(_.toVector.sortBy(_.key)).toMap
+    // (last node id, MIR key) of each maintenance order, in selection order.
+    val maintained = Vector.newBuilder[(String, String)]
 
     for ((sid, cand) <- sel.orders) {
       val steps = cand.steps
@@ -80,11 +76,17 @@ object Topology {
       sid match {
         case QuerySlot(q, _) =>
           emits.getOrElseUpdate(ids.last, mutable.LinkedHashSet.empty) += q
-        case MirSlot(mk, _) =>
-          storeInto.getOrElseUpdate(ids.last, mutable.LinkedHashSet.empty) ++=
-            probedByMir.getOrElse(mk, Vector.empty)
+        case MirSlot(mk, _) => maintained += ids.last -> mk
       }
     }
+
+    // Store instances probed by some step, one per distinct node.
+    val probed = stepOf.values.map(_.targetRef).toVector.distinct.sortBy(_.key)
+    // Maintenance results are inserted into every probed instance of their MIR.
+    val probedByMir = probed.groupBy(_.mir.key)
+    val storeInto = mutable.Map[String, mutable.LinkedHashSet[StoreRef]]()
+    for ((id, mk) <- maintained.result())
+      storeInto.getOrElseUpdate(id, mutable.LinkedHashSet.empty) ++= probedByMir.getOrElse(mk, Vector.empty)
 
     val nodes = stepOf.map { case (id, s) =>
       id -> TopoNode(
@@ -97,9 +99,7 @@ object Topology {
       )
     }.toMap
 
-    val stores = sel.probedStores.toVector.sortBy(_.key).map { ref =>
-      ref.key -> StoreDef(ref, catalog.parallelism(ref.mir))
-    }.toMap
+    val stores = probed.map(ref => ref.key -> StoreDef(ref, catalog.parallelism(ref.mir))).toMap
 
     // Input tuples of a relation are stored in every probed base-store
     // instance of that relation.

@@ -114,8 +114,9 @@ object Fig7Experiment {
       memo.getOrElseUpdate(s.key, StreamJoinExec.stepSentCount(s, dfs, catalog))
 
     lineUp(queries, catalog, stats).map { case (name, sels) =>
-      val steps = sels.map(_.distinctSteps)
-      SparkWork(name, steps.map(_.values.map(countStep).sum).sum, steps.map(_.size).sum)
+      // One topology node per distinct step of a deployment.
+      val steps = sels.map(Topology.build(_, catalog).nodes.values.map(_.step))
+      SparkWork(name, steps.map(_.map(countStep).sum).sum, steps.map(_.size).sum)
     }
   }
 

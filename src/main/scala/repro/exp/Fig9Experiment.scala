@@ -51,16 +51,13 @@ object Fig9Experiment {
     val perQuery = Planner.individual(queries, catalog, stats,
                                       math.max(10000L, NodeBudget / math.max(1, queries.size)))
     val individual = perQuery.map(_.solution.cost).sum
-    // The individually-optimal plans with steps deduplicated are a feasible
-    // shared deployment — an upper bound any seeded anytime solver reaches.
-    val sharedUpper = Planner.sharedFromIndividual(perQuery).sharedCost
 
     Row(
       nRels = nRels,
       nQ = nQ,
       size = size,
       individualCost = individual,
-      mqoCost = math.min(sol.cost, sharedUpper),
+      mqoCost = sol.cost,
       vars = problem.numVars,
       probeOrders = problem.numProbeOrders,
       buildMs = (t1 - t0) / 1e6,

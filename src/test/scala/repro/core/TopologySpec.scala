@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.data.Artificial
+import repro.data.{Artificial, Fig9Env}
 
 class TopologySpec extends AnyFunSuite {
 
@@ -78,6 +78,30 @@ class TopologySpec extends AnyFunSuite {
       val inserted = t.nodes.values.flatMap(_.storeInto).map(_.key).toSet
       mirStores.foreach(s => assert(inserted.contains(s.ref.key), s"${s.ref.key} never written"))
     } else fail("expected an MIR-using plan for this skewed workload")
+  }
+
+  test("the topology is the selection's one derivation of steps and stores") {
+    val queries = Fig9Env.randomQueries(10, 5, 4, 2L)
+    val cat = Fig9Env.catalog(10)
+    val st = Fig9Env.stats(10).copy(defaultSel = 0.001)
+    val sel = Planner.mqo(queries, cat, st).selection
+    assert(sel.orders.exists(_._1.isInstanceOf[MirSlot]), "expected a maintenance order")
+    val t = Topology.build(sel, cat)
+
+    val steps = sel.orders.flatMap(_._2.steps)
+    val keys = steps.map(_.key).distinct
+    assert(t.nodes.values.map(_.step.key).toSet == keys.toSet)
+    assert(t.nodes.size == keys.size)
+    val probed = steps.map(_.targetRef).toSet
+    assert(t.stores.values.map(_.ref).toSet == probed)
+
+    sel.orders.foreach {
+      case (MirSlot(mk, _), c) =>
+        val into = t.nodes(Topology.nodeId(c.steps.last.key)).storeInto.toSet
+        assert(into.nonEmpty, s"maintenance of $mk inserts nowhere")
+        assert(into == probed.filter(_.mir.key == mk))
+      case _ =>
+    }
   }
 
   test("node ids are the decorated prefixes — deterministic and distinct") {

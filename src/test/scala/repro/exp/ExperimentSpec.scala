@@ -2,6 +2,9 @@ package repro.exp
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
+import repro.core.MqoProblem
+import repro.data.Fig9Env
+import repro.ilp.Solver
 
 /** Smoke tests for the experiment drivers at miniature scale — the full
   * sweeps run in bench/ (one suite per evaluation figure).
@@ -33,6 +36,14 @@ class Fig9ExperimentSpec extends AnyFunSuite {
     val s4 = Fig9Experiment.run(20, 4, 4, seed = 3)
     assert(s4.vars > s3.vars)
     assert(s4.probeOrders > s3.probeOrders)
+  }
+
+  test("fig9 row reports the global solve's own cost (9f, 100 rels, 10 queries, size 5)") {
+    val r = Fig9Experiment.run(100, 10, 5, seed = 65)
+    val problem = MqoProblem.build(Fig9Env.randomQueries(100, 10, 5, 65), Fig9Env.catalog(100), Fig9Env.stats(100))
+    val sol = Solver.solve(problem, 300000L)
+    assert(r.mqoCost == sol.cost)
+    assert(r.optimal == sol.optimal)
   }
 }
 

@@ -57,7 +57,7 @@ class EventSimSpec extends SparkSpec {
 
   test("results are identical with an MIR-based plan") {
     val sel = Planner.mqo(Seq(query), catalog, mirStats).selection
-    assert(sel.probedStores.exists(!_.mir.isBase), "expected an MIR store in the plan")
+    assert(Topology.build(sel, catalog).stores.values.exists(!_.ref.mir.isBase), "expected an MIR store in the plan")
     val m = runOnce(sel)
     assert(resultKeys(m) == TestData.naiveJoin(query, input))
   }

@@ -42,18 +42,22 @@ final case class SimParams(
   def sMatch: Double = if (deterministic) 0.0 else svcPerMatch
 }
 
-/** Measured outcomes of a simulation run. */
+/** Measured outcomes of a simulation run.
+  *
+  * The per-node and per-query figures are counted in arrays while the run
+  * goes; `sentByNode`, `resultCount`, `latencySum` and `latencyBuckets` are
+  * maps built from those counters when read. They hold only the nodes and
+  * queries with a non-zero count, and the first three read 0 for a missing key.
+  * A `mutable.HashMap` iterates in an order fixed by its key set, so a sum
+  * over a view's values adds in the same order as over the maps that were
+  * updated in place.
+  */
 final class Metrics {
   /** Probe cost: tuples sent for probing (the paper's minimization subject). */
   var tuplesSent = 0L
   var probeMsgs = 0L
   var storeMsgs = 0L
   var matches = 0L
-  val sentByNode = mutable.Map[String, Long]().withDefaultValue(0L)
-  val resultCount = mutable.Map[String, Long]().withDefaultValue(0L)
-  val latencySum = mutable.Map[String, Double]().withDefaultValue(0.0)
-  /** (query, floor(second)) -> (Σ latency, results) for timelines. */
-  val latencyBuckets = mutable.Map[(String, Long), (Double, Long)]()
   /** Per-input-tuple completion latency (Section VII.A: a tuple completes
     * when all join results with it are computed — i.e. when its probe chain
     * drains), bucketed by arrival second.
@@ -71,6 +75,94 @@ final class Metrics {
   var totalBusy = 0.0
   var inputTuples = 0L
   val results = mutable.ArrayBuffer[(String, ITuple)]() // only when recording
+
+  // Node ids are interned to slots of `nodeSent` for the whole run, as
+  // configurations may compile the same node id again.
+  private val nodeSlotOf = mutable.HashMap[String, Int]()
+  private[sim] var nodeSent = new Array[Long](16)
+  private val queries = mutable.HashMap[String, QueryCounter]()
+
+  private[sim] def nodeSlot(id: String): Int = nodeSlotOf.getOrElseUpdate(id, {
+    if (nodeSlotOf.size == nodeSent.length) nodeSent = java.util.Arrays.copyOf(nodeSent, 2 * nodeSent.length)
+    nodeSlotOf.size
+  })
+
+  private[sim] def queryCounter(q: String): QueryCounter = queries.getOrElseUpdate(q, new QueryCounter(q))
+
+  private def emitted = queries.valuesIterator.filter(_.results > 0)
+
+  /** Tuples sent per topology node id. */
+  def sentByNode: collection.Map[String, Long] = {
+    val m = mutable.Map[String, Long]().withDefaultValue(0L)
+    nodeSlotOf.foreach { case (id, i) => if (nodeSent(i) != 0) m(id) = nodeSent(i) }
+    m
+  }
+
+  def resultCount: collection.Map[String, Long] = {
+    val m = mutable.Map[String, Long]().withDefaultValue(0L)
+    emitted.foreach(c => m(c.name) = c.results)
+    m
+  }
+
+  /** Σ result latency per query. */
+  def latencySum: collection.Map[String, Double] = {
+    val m = mutable.Map[String, Double]().withDefaultValue(0.0)
+    emitted.foreach(c => m(c.name) = c.latencySum)
+    m
+  }
+
+  /** (query, floor(second)) -> (Σ latency, results) for timelines. */
+  def latencyBuckets: collection.Map[(String, Long), (Double, Long)] = {
+    val m = mutable.Map[(String, Long), (Double, Long)]()
+    emitted.foreach { c =>
+      c.secCount.indices.foreach { i =>
+        if (c.secCount(i) > 0) m((c.name, c.firstSec + i)) = (c.secSum(i), c.secCount(i))
+      }
+    }
+    m
+  }
+}
+
+/** The result counters of one query, shared by every compiled node that emits
+  * it, so that each sum accumulates in event order. The per-second arrays
+  * cover the seconds from `firstSec` on; they can grow downwards, because a
+  * probe that waited for a busy worker completes after later ones.
+  */
+private[sim] final class QueryCounter(val name: String) {
+  var results = 0L
+  var latencySum = 0.0
+  var firstSec = 0L
+  var secSum = Array.empty[Double]
+  var secCount = Array.empty[Long]
+
+  /** Count `k` results completed at time `fin`, each with latency `lat`. */
+  def add(fin: Double, lat: Double, k: Int): Unit = {
+    results += k
+    latencySum += lat * k
+    val i = secIndex(math.floor(fin).toLong)
+    secSum(i) += lat * k
+    secCount(i) += k
+  }
+
+  private def secIndex(sec: Long): Int = {
+    if (secCount.length == 0) firstSec = sec
+    if (sec < firstSec) {
+      resize((firstSec - sec).toInt, secCount.length + (firstSec - sec).toInt)
+      firstSec = sec
+    } else if (sec - firstSec >= secCount.length) resize(0, (sec - firstSec + 1).toInt)
+    (sec - firstSec).toInt
+  }
+
+  /** Grow the arrays to at least `minLen` slots, moving the old ones up by `shift`. */
+  private def resize(shift: Int, minLen: Int): Unit = {
+    val len = math.max(minLen, math.max(16, 2 * secCount.length))
+    val s = new Array[Double](len)
+    val c = new Array[Long](len)
+    System.arraycopy(secSum, 0, s, shift, secSum.length)
+    System.arraycopy(secCount, 0, c, shift, secCount.length)
+    secSum = s
+    secCount = c
+  }
 }
 
 /** Hook invoked at the start of every epoch (statistics evaluation and
@@ -101,12 +193,19 @@ trait Controller {
   *  - per node the plan holds the target store id, the routing slot (or
   *    broadcast), the probe slot pairs, the gather that merges a prefix row
   *    with a candidate, the children, the emitted queries with their windows,
-  *    and the MIR stores it inserts into.
-  * Events are ordered by (time, priority, sequence number), so simulated-time
-  * ties go to the message enqueued first. Messages are created in a fixed
-  * order: per-partition batches of a routed send in ascending partition
-  * order, probe candidates in store insertion order, base stores in
-  * covering-configuration order, then children before MIR inserts.
+  *    and the MIR stores it inserts into, as well as its slot in the sent
+  *    counters and the result counters of the queries it emits.
+  * A probe match is built into a `Row` only when something reads it: a child
+  * node, an MIR insert the pass owns, or `recordResults`. Otherwise the probe
+  * keeps only the match's min/max timestamp, which is all emission reads.
+  * The per-node and per-query metric maps are views built from array
+  * counters (see `Metrics`).
+  * Events are ordered by (time, priority, sequence number) in a binary heap
+  * over primitive arrays (`EventQueue`), so simulated-time ties go to the
+  * message enqueued first. Messages are created in a fixed order:
+  * per-partition batches of a routed send in ascending partition order, probe
+  * candidates in store insertion order, base stores in covering-configuration
+  * order, then children before MIR inserts.
   * Results are turned into `ITuple` maps only when `recordResults` is set.
   */
 final class EventSim(val catalog: Catalog, val params: SimParams, recordResults: Boolean = false) {
@@ -144,7 +243,7 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     val kept = schedule.filter(_.from < fromEpoch)
     topo.stores.values.foreach(ensureStore(_, topo.maxWindow))
     val plan = kept.find(_.plan.topo eq topo).map(_.plan).getOrElse(
-      PhysicalPlan.compile(topo, relIds, layout, storeId))
+      PhysicalPlan.compile(topo, relIds, layout, storeId, metrics))
     schedule = kept :+ new Scheduled(fromEpoch, plan)
   }
 
@@ -232,13 +331,15 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
   def activeStoreKeys: Set[String] = stores.iterator.filter(_ != null).map(_.dfn.key).toSet
 
   // ---- events --------------------------------------------------------------
-  private sealed abstract class Ev(val time: Double, val prio: Int, val seq: Long, val store: Int, val part: Int) {
+  /** A message to partition `part` of store `store`; at equal times, messages
+    * of lower `prio` go first.
+    */
+  private sealed abstract class Ev(val prio: Int, val store: Int, val part: Int) {
     /** Tuples this message carries. */
     def size: Int
   }
 
-  private final class StoreEv(time: Double, seq: Long, store: Int, part: Int, val epoch: Long, val row: Row)
-      extends Ev(time, 0, seq, store, part) {
+  private final class StoreEv(store: Int, part: Int, val epoch: Long, val row: Row) extends Ev(0, store, part) {
     def size: Int = 1
   }
 
@@ -254,10 +355,9 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     * (its pass probes the widest epoch range, hence produces a superset of
     * any later pass's combinations).
     */
-  private final class ProbeEv(time: Double, seq: Long, store: Int, part: Int, val node: PlanNode,
-                              val ownLo: Long, val ownHi: Long, val rows: Array[Row], val srcTs: Double,
-                              val srcId: Long, val storeOwn: BitSet)
-      extends Ev(time, 1, seq, store, part) {
+  private final class ProbeEv(store: Int, part: Int, val node: PlanNode, val ownLo: Long, val ownHi: Long,
+                              val rows: Array[Row], val srcTs: Double, val srcId: Long, val storeOwn: BitSet)
+      extends Ev(1, store, part) {
     def size: Int = rows.length
   }
 
@@ -274,19 +374,13 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
   }
 
   // earliest time first; at equal times stores (priority 0) before probes,
-  // then the message enqueued first
-  private val pq = new java.util.PriorityQueue[Ev]((a: Ev, b: Ev) => {
-    val c = java.lang.Double.compare(a.time, b.time)
-    if (c != 0) c
-    else if (a.prio != b.prio) Integer.compare(a.prio, b.prio)
-    else java.lang.Long.compare(a.seq, b.seq)
-  })
+  // then the message enqueued first: the key is prio << 62 | sequence number
+  private val queue = new EventQueue[Ev]
   private var seq = 0L
 
-  private def nextSeq(): Long = { seq += 1; seq }
-
-  private def enqueue(ev: Ev): Unit = {
-    pq.add(ev)
+  private def enqueue(time: Double, ev: Ev): Unit = {
+    seq += 1
+    queue.add(time, (ev.prio.toLong << 62) | seq, ev)
     metrics.inFlight += ev.size
   }
 
@@ -309,57 +403,83 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
   }
 
   // ---- probing ---------------------------------------------------------------
+  // Scratch arrays reused by every call: the partition of each dispatched row,
+  // and per match of a probe, its [min, max] timestamp span and built row.
+  private var rowPart = new Array[Int](64)
+  private var matchLo = new Array[Double](64)
+  private var matchHi = new Array[Double](64)
+  private var matchRow = new Array[Row](64)
+
   /** Send a batch of (partial) result rows to the workers of a node's target
     * store: routed per row to one partition when the partitioning value is
-    * derivable (one message per partition, in ascending partition order),
-    * broadcast to all partitions otherwise (factor χ in the probe cost).
+    * derivable (one message per partition, in ascending partition order, with
+    * the rows in batch order), broadcast to all partitions otherwise (factor
+    * χ in the probe cost).
     */
   private def dispatch(node: PlanNode, eLo: Long, eHi: Long, rows: Array[Row], srcTs: Double,
                        srcId: Long, storeOwn: BitSet, time: Double): Int = {
-    val st = stores(node.target)
-    val par = st.parallelism
+    val par = stores(node.target).parallelism
     def send(p: Int, batch: Array[Row]): Unit =
-      enqueue(new ProbeEv(time, nextSeq(), node.target, p, node, eLo, eHi, batch, srcTs, srcId, storeOwn))
+      enqueue(time, new ProbeEv(node.target, p, node, eLo, eHi, batch, srcTs, srcId, storeOwn))
+    val n = rows.length
     var msgs = 0
     val sent =
       if (node.routeSlot >= 0) {
-        val parts = rows.map(r => hashPart(r.vals(node.routeSlot), par))
-        var p = 0
-        while (p < par) {
-          val c = parts.count(_ == p)
-          if (c > 0) {
-            send(p, if (c == rows.length) rows else rows.indices.filter(parts(_) == p).map(rows).toArray)
-            msgs += 1
-          }
-          p += 1
+        if (n > rowPart.length) rowPart = new Array[Int](math.max(n, 2 * rowPart.length))
+        val left = new Array[Int](par) // rows of each partition not yet placed
+        var i = 0
+        while (i < n) {
+          val p = hashPart(rows(i).vals(node.routeSlot), par)
+          rowPart(i) = p
+          left(p) += 1
+          i += 1
         }
-        rows.length.toLong
+        if (left(rowPart(0)) == n) {
+          send(rowPart(0), rows)
+          msgs = 1
+        } else {
+          val batches = new Array[Array[Row]](par)
+          i = 0
+          while (i < n) {
+            val p = rowPart(i)
+            if (batches(p) == null) batches(p) = new Array[Row](left(p))
+            val b = batches(p)
+            b(b.length - left(p)) = rows(i)
+            left(p) -= 1
+            i += 1
+          }
+          var p = 0
+          while (p < par) {
+            if (batches(p) != null) { send(p, batches(p)); msgs += 1 }
+            p += 1
+          }
+        }
+        n.toLong
       } else {
-        (0 until par).foreach(send(_, rows))
-        msgs = par
-        rows.length.toLong * par
+        while (msgs < par) { send(msgs, rows); msgs += 1 }
+        n.toLong * par
       }
     metrics.tuplesSent += sent
-    metrics.sentByNode(node.id) += sent
+    metrics.nodeSent(node.sentSlot) += sent
     metrics.probeMsgs += msgs
     msgs
   }
 
-  private def handleStore(ev: StoreEv): Unit = {
+  private def handleStore(ev: StoreEv, now: Double): Unit = {
     val st = stores(ev.store)
     val ps = st.parts(ev.part)
-    val start = math.max(ev.time, ps.busyUntil)
+    val start = math.max(now, ps.busyUntil)
     val dur = params.sStore
     ps.busyUntil = start + dur
     metrics.totalBusy += dur
-    noteBacklog(ps, ev.time)
+    noteBacklog(ps, now)
     ps.byEpoch.getOrElseUpdate(ev.epoch, new Container(st.layout.attrs.size)).add(ev.row)
     st.stored += 1
     metrics.storedNow += 1
     if (metrics.storedNow > metrics.peakStored) metrics.peakStored = metrics.storedNow
   }
 
-  private def handleProbe(ev: ProbeEv): Unit = {
+  private def handleProbe(ev: ProbeEv, now: Double): Unit = {
     val ps = stores(ev.store).parts(ev.part)
     val node = ev.node
     val w = node.window
@@ -367,8 +487,12 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     val sa = node.probeTarget(0)
     val pa = node.probePrefix(0)
     val nPairs = node.probeTarget.length
+    // a match becomes a row only if something reads it: a child probe, an
+    // MIR insert this pass owns, or the recorded results; emission needs only
+    // its timestamp span
+    val build = node.children.length > 0 || node.storeInto.exists(ev.storeOwn) || recordResults
 
-    val produced = mutable.ArrayBuffer[Row]()
+    var n = 0
     val probeHi = epochOf(ev.srcTs)
     var t = 0
     while (t < ev.rows.length) {
@@ -388,8 +512,21 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
               ok = c.vals(node.probeTarget(k)) == tup.vals(node.probePrefix(k))
               k += 1
             }
-            if (ok && math.max(c.maxTs, tup.maxTs) - math.min(c.minTs, tup.minTs) <= w)
-              produced += node.merge(tup, c)
+            if (ok) {
+              val lo = math.min(tup.minTs, c.minTs)
+              val hi = math.max(tup.maxTs, c.maxTs)
+              if (hi - lo <= w) {
+                if (n == matchLo.length) {
+                  matchLo = java.util.Arrays.copyOf(matchLo, 2 * n)
+                  matchHi = java.util.Arrays.copyOf(matchHi, 2 * n)
+                  matchRow = java.util.Arrays.copyOf(matchRow, 2 * n)
+                }
+                matchLo(n) = lo
+                matchHi(n) = hi
+                if (build) matchRow(n) = node.merge(tup, c)
+                n += 1
+              }
+            }
             i += 1
           }
         }
@@ -397,21 +534,22 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
       }
       t += 1
     }
-    val n = produced.length
 
-    val start = math.max(ev.time, ps.busyUntil)
+    val start = math.max(now, ps.busyUntil)
     // probing work scales with the tuples probed (the paper's probe cost),
     // plus the matches produced
     val dur = params.sProbe * ev.rows.length + n * params.sMatch
     ps.busyUntil = start + dur
     metrics.totalBusy += dur
     metrics.matches += n
-    noteBacklog(ps, ev.time)
+    noteBacklog(ps, now)
 
     val fin = start + dur
     var downstream = 0
     if (n > 0) {
-      val out = produced.toArray
+      val out = if (build) java.util.Arrays.copyOf(matchRow, n) else null
+      // the scratch must not keep the rows alive
+      if (build) java.util.Arrays.fill(matchRow.asInstanceOf[Array[AnyRef]], 0, n, null)
       node.children.foreach { child =>
         downstream += dispatch(child, ev.ownLo, ev.ownHi, out, ev.srcTs, ev.srcId, ev.storeOwn, fin + params.net)
       }
@@ -423,21 +561,16 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
         val q = node.emits(qi)
         val qw = node.emitWindows(qi)
         var k = 0
-        out.foreach { r =>
-          val e = epochOf(r.minTs)
-          if (e >= ev.ownLo && e <= ev.ownHi && r.maxTs - r.minTs <= qw) {
+        var i = 0
+        while (i < n) {
+          val e = epochOf(matchLo(i))
+          if (e >= ev.ownLo && e <= ev.ownHi && matchHi(i) - matchLo(i) <= qw) {
             k += 1
-            if (recordResults) metrics.results += ((q, node.out.tuple(r)))
+            if (recordResults) metrics.results += ((q.name, node.out.tuple(out(i))))
           }
+          i += 1
         }
-        if (k > 0) {
-          metrics.resultCount(q) += k
-          val lat = fin - ev.srcTs
-          metrics.latencySum(q) += lat * k
-          val bucket = math.floor(fin).toLong
-          val (s0, c0) = metrics.latencyBuckets.getOrElse((q, bucket), (0.0, 0L))
-          metrics.latencyBuckets((q, bucket)) = (s0 + lat * k, c0 + k)
-        }
+        if (k > 0) q.add(fin, fin - ev.srcTs, k)
         qi += 1
       }
       // MIR maintenance: the owning pass inserts every produced combination
@@ -446,7 +579,7 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
         if (ev.storeOwn(sid)) {
           val tgt = stores(sid)
           out.foreach { m =>
-            enqueue(new StoreEv(fin + params.net, nextSeq(), sid, tgt.partitionOf(m), epochOf(m.minTs), m))
+            enqueue(fin + params.net, new StoreEv(sid, tgt.partitionOf(m), epochOf(m.minTs), m))
             metrics.storeMsgs += 1
           }
         }
@@ -485,7 +618,7 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     }
 
     covering.iterator.flatMap(_._1.ingest(rel)).distinct.foreach { sid =>
-      enqueue(new StoreEv(t.ts + params.net, nextSeq(), sid, stores(sid).partitionOf(single), e0, single))
+      enqueue(t.ts + params.net, new StoreEv(sid, stores(sid).partitionOf(single), e0, single))
       metrics.storeMsgs += 1
     }
 
@@ -557,7 +690,7 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
 
     var running = true
     while (running) {
-      val evT = if (!pq.isEmpty) pq.peek().time else Double.MaxValue
+      val evT = if (!queue.isEmpty) queue.headTime else Double.MaxValue
       val inT = if (inIdx < input.size) input(inIdx).ts else Double.MaxValue
       if (evT == Double.MaxValue && inT == Double.MaxValue) running = false
       else {
@@ -566,11 +699,11 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
         else {
           advanceEpochs(t)
           if (evT <= inT) {
-            val ev = pq.poll()
+            val ev = queue.poll()
             metrics.inFlight -= ev.size
             ev match {
-              case s: StoreEv => handleStore(s)
-              case p: ProbeEv => handleProbe(p)
+              case s: StoreEv => handleStore(s, evT)
+              case p: ProbeEv => handleProbe(p, evT)
             }
           } else {
             handleIngest(input(inIdx))

@@ -45,9 +45,12 @@ private[sim] final class Row(val vals: Array[Long], val tss: Array[Double], val 
   * prefix(probePrefix(i))`. A match is gathered into the output layout:
   * output value slot `i` is `prefix.vals(valSrc(i))` when `valSrc(i) >= 0`
   * and `cand.vals(~valSrc(i))` otherwise; timestamps likewise via `tsSrc`.
+  * `sentSlot` is the node's slot in `Metrics`' sent counters, and `emits` are
+  * the counters of the queries it emits, with their windows in `emitWindows`.
   */
 private[sim] final class PlanNode(
     val id: String,
+    val sentSlot: Int,
     val target: Int,
     val routeSlot: Int,
     val probeTarget: Array[Int],
@@ -56,7 +59,7 @@ private[sim] final class PlanNode(
     valSrc: Array[Int],
     tsSrc: Array[Int],
     val out: Layout,
-    val emits: Array[String],
+    val emits: Array[QueryCounter],
     val emitWindows: Array[Double],
     val storeInto: Array[Int],
 ) {
@@ -96,11 +99,11 @@ private[sim] final class PhysicalPlan(
 private[sim] object PhysicalPlan {
 
   /** Compile `topo`. `relIds` numbers the catalog's relations, `layout` gives
-    * the (shared) layout of a sorted relation set and `storeId` the registry
-    * id of a store key.
+    * the (shared) layout of a sorted relation set, `storeId` the registry id
+    * of a store key, and `metrics` the counters of node ids and queries.
     */
   def compile(topo: Topology, relIds: Map[String, Int], layout: Vector[String] => Layout,
-              storeId: String => Int): PhysicalPlan = {
+              storeId: String => Int, metrics: Metrics): PhysicalPlan = {
     def sorted(rs: Set[String]) = layout(rs.toVector.sorted)
 
     val nodes: Map[String, PlanNode] = topo.nodes.map { case (id, n) =>
@@ -116,6 +119,7 @@ private[sim] object PhysicalPlan {
       def tsSrc(r: String) = if (prefix.rels.contains(r)) prefix.tsSlot(r) else ~target.tsSlot(r)
       id -> new PlanNode(
         id = id,
+        sentSlot = metrics.nodeSlot(id),
         target = storeId(step.targetRef.key),
         routeSlot = step.routeAttr.map(prefix.slot).getOrElse(-1),
         probeTarget = pairs.map(p => target.slot(p._1)).toArray,
@@ -124,7 +128,7 @@ private[sim] object PhysicalPlan {
         valSrc = out.attrs.map(valSrc).toArray,
         tsSrc = out.rels.map(tsSrc).toArray,
         out = out,
-        emits = n.emits.toArray,
+        emits = n.emits.map(metrics.queryCounter).toArray,
         emitWindows = n.emits.map(q => topo.queryWindows.getOrElse(q, Double.MaxValue)).toArray,
         storeInto = n.storeInto.map { ref =>
           require(ref.mir.relations == out.rels, s"node $id inserts ${out.rels} rows into store ${ref.key}")

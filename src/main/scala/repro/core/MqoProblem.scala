@@ -20,19 +20,15 @@ final case class MirSlot(mirKey: String, start: String) extends SlotId {
 
 /** A candidate probe order for a slot.
   *
-  * @param steps  the physical probe steps (drive the topology)
-  * @param costed (step key, cost) pairs the ILP accounts for: Eq. 1 for each
-  *               probe step plus, for maintenance orders, the insert step
-  *               that ships the produced subresult into the MIR store
-  * @param stepIds   the ids of the `costed` keys in the problem's step table
-  * @param stepCosts the `costed` costs, as an array
-  * @param mirIds    the ids of the `mirsUsed` MIRs in the problem's MIR table
+  * @param steps    the physical probe steps (drive the topology)
+  * @param mirsUsed the keys of the MIRs whose stores the order probes, sorted
+  * @param stepIds  the ids in the problem's step table of its probe steps
+  *                 and, for a maintenance order, of the insert step that
+  *                 ships the produced subresult into the MIR store
+  * @param mirIds   the ids of the `mirsUsed` MIRs in the problem's MIR table
   */
-final case class Cand(d: Decorated, steps: Vector[Step], costed: Vector[(StepKey, Double)],
-                      mirsUsed: Vector[String])(val stepIds: Array[Int], val stepCosts: Array[Double],
-                                                val mirIds: Array[Int]) {
-  /** Sum of the costed costs, left to right from the first, as `Seq.sum` adds them. */
-  def cost: Double = stepCosts.sum
+final case class Cand(d: Decorated, steps: Vector[Step], mirsUsed: Vector[String])(val stepIds: Array[Int],
+                                                                                   val mirIds: Array[Int]) {
   override def toString: String = d.toString
 }
 
@@ -46,9 +42,10 @@ final case class Cand(d: Decorated, steps: Vector[Step], costed: Vector[(StepKey
   *  - MIR id `m` is the MIR `mirKeys(m)`, maintained by the slots
   *    `mirSlotIds(m)` (in `Mir.relations` order); only MIRs some candidate
   *    uses have an id;
-  *  - step id `i` has key `stepKeys(i)` and cost `stepCosts(i)`, as the last
-  *    subquery to reach the key priced it (every subquery must agree; see
-  *    `build`).
+  *  - step id `i` has key `stepKeys(i)` and cost `stepCosts(i)`, priced from
+  *    `stepReps(i)`: the first step to reach the key, or an insert step's
+  *    maintenance subquery. Only `stats` and `stepCosts` depend on the
+  *    statistics; `repriced` prices the same tables under new ones.
   * Each candidate carries its step and MIR ids. `querySlots`, `slotCands`,
   * `mirSlots` and `stepCost` are keyed views of these tables.
   */
@@ -62,6 +59,7 @@ final case class MqoProblem(
     mirKeys: Array[String],
     mirSlotIds: Array[Array[Int]],
     stepKeys: Array[StepKey],
+    stepReps: Array[Either[Step, Subquery]],
     stepCosts: Array[Double],
     mirByKey: Map[String, Mir],
 ) {
@@ -74,6 +72,15 @@ final case class MqoProblem(
   /** Each maintained MIR's maintenance slots, keyed by MIR key. */
   lazy val mirSlots: Map[String, Vector[SlotId]] =
     mirKeys.indices.map(m => mirKeys(m) -> mirSlotIds(m).toVector.map(slots(_))).toMap
+
+  /** The pricing pass: the same problem with each step id priced under `st`, from its representative. */
+  def repriced(st: Stats): MqoProblem =
+    copy(stats = st, stepCosts = stepReps.map(_.fold(CostModel.stepCost(_, st, catalog), CostModel.insertCost(_, st))))
+
+  /** Sum of the costs of the steps `ids`, left to right from the first, as
+    * `Seq.sum` adds them; a candidate's cost is `cost(c.stepIds)`.
+    */
+  def cost(ids: Array[Int]): Double = if (ids.isEmpty) 0.0 else ids.iterator.map(stepCosts).reduce(_ + _)
 
   /** Shared step cost table, keyed by step. */
   lazy val stepCost: Map[StepKey, Double] = stepKeys.indices.map(i => stepKeys(i) -> stepCosts(i)).toMap
@@ -92,15 +99,17 @@ final case class MqoProblem(
 
 object MqoProblem {
 
-  /** Build the problem: enumerate MIRs per query (Section V), candidate probe
-    * orders (Algorithm 1), apply partitioning candidates, generate maintenance
-    * probe orders for every non-base MIR, and number the slots, the MIRs
-    * and the shared steps where they are created.
+  /** Build the problem in two passes. The enumeration pass reads only the
+    * queries and the catalog: it enumerates MIRs per query (Section V),
+    * candidate probe orders (Algorithm 1), applies partitioning candidates,
+    * generates maintenance probe orders for every non-base MIR, and numbers
+    * the slots, the MIRs and the shared steps where they are created. The
+    * pricing pass, `repriced`, then costs each step id once under `stats`.
     *
     * A slot's decorated orders are walked as a prefix tree: a step shared by
     * several decorations (same probed elements and partitionings up to it)
-    * is built, keyed, costed and interned once, at its tree node, and each
-    * step extends the step before it.
+    * is built, keyed and interned once, at its tree node, and each step
+    * extends the step before it.
     */
   def build(queries: Seq[Query], catalog: Catalog, stats: Stats): MqoProblem = {
     val qs = queries.toVector.sortBy(_.name)
@@ -119,31 +128,20 @@ object MqoProblem {
     def partsOf(m: Mir): Vector[Attr] =
       partsCache.getOrElseUpdate(m.key, ProbeOrders.partitionCandidates(m, qs))
 
-    // Step table. A step's cost must be identical wherever its key appears
-    // (it is a function of the key's content); the last subquery to reach a
-    // key sets the recorded cost.
+    // Step table. A step's cost is a function of its key's content, so the
+    // first step (or insert subquery) to reach a key represents it.
     val stepIds = mutable.HashMap[StepKey, Int]()
     val stepKeys = mutable.ArrayBuffer[StepKey]()
-    val stepCosts = mutable.ArrayBuffer[Double]()
-    def intern(k: StepKey, cost: Double): Int = stepIds.get(k) match {
-      case Some(id) =>
-        val prev = stepCosts(id)
-        require(math.abs(prev - cost) <= 1e-6 * math.max(1.0, math.abs(prev)),
-                s"inconsistent cost for shared step $k: $prev vs $cost")
-        stepCosts(id) = cost
-        id
-      case None =>
-        stepIds(k) = stepKeys.size
-        stepKeys += k
-        stepCosts += cost
-        stepKeys.size - 1
-    }
+    val stepReps = mutable.ArrayBuffer[Either[Step, Subquery]]()
+    def intern(k: StepKey, rep: => Either[Step, Subquery]): Int = stepIds.getOrElseUpdate(k, {
+      stepKeys += k
+      stepReps += rep
+      stepKeys.size - 1
+    })
 
-    /** A node of a slot's prefix tree: one step, keyed, costed and interned. */
+    /** A node of a slot's prefix tree: one step, keyed and interned. */
     final class Node(val step: Step) {
-      val cost: Double = CostModel.stepCost(step, stats, catalog)
-      val costed: (StepKey, Double) = step.key -> cost
-      val id: Int = intern(step.key, cost)
+      val id: Int = intern(step.key, Left(step))
       val children = mutable.ArrayBuffer[Node]()
     }
     /** The node among `siblings` probing `m` partitioned by `part`; `make` builds its step if new. */
@@ -171,11 +169,9 @@ object MqoProblem {
 
     def mkCands(sub: Subquery, usableMirs: Set[Mir], slot: SlotId): Vector[Cand] = {
       val roots = mutable.ArrayBuffer[Node]()
-      lazy val insert: Option[((StepKey, Double), Int)] = slot match {
-        case MirSlot(mk, start) =>
-          val (k, cost) = (CostModel.insertKey(mk, start), CostModel.insertCost(sub, stats))
-          Some((k -> cost, intern(k, cost)))
-        case _: QuerySlot => None
+      lazy val insert: Option[Int] = slot match {
+        case MirSlot(mk, start) => Some(intern(CostModel.insertKey(mk, start), Right(sub)))
+        case _: QuerySlot       => None
       }
       ProbeOrders.candidatesFrom(sub, usableMirs, slot.start).flatMap { po =>
         val mirsUsed = po.mirsUsed.map(_.key).toVector.sorted
@@ -188,9 +184,7 @@ object MqoProblem {
               case Some(prev) => child(prev.children, m, part, prev.step.next(m, part))
             })
           }
-          val costed = path.map(_.costed) ++ insert.map(_._1)
-          Cand(d, path.map(_.step), costed, mirsUsed)((path.map(_.id) ++ insert.map(_._2)).toArray,
-                                                      costed.map(_._2).toArray, ids)
+          Cand(d, path.map(_.step), mirsUsed)((path.map(_.id) ++ insert).toArray, ids)
         }
       }
     }
@@ -239,8 +233,9 @@ object MqoProblem {
       mirKeys = mirKeys.toArray,
       mirSlotIds = mirSlotIds.toArray,
       stepKeys = stepKeys.toArray,
-      stepCosts = stepCosts.toArray,
+      stepReps = stepReps.toArray,
+      stepCosts = null, // filled by the pricing pass
       mirByKey = mirByKey.toMap,
-    )
+    ).repriced(stats)
   }
 }

@@ -20,11 +20,11 @@ import repro.core._
   *    incumbent is returned with `optimal = false` (like a MIP gap).
   *
   * The search runs on the problem's own ids: slots, MIRs and steps are
-  * numbered by `MqoProblem.build`, and each candidate carries arrays of its
-  * step ids and costs (in `costed` order) and of its MIR ids (in `mirsUsed`
-  * order). The search state is arrays indexed by those ids: step reference
-  * counts, active MIRs, the current choice and a memo of maintenance
-  * estimates. Only the returned [[Solution]] is built from maps.
+  * numbered by `MqoProblem.build`, each candidate carries arrays of its step
+  * ids and of its MIR ids, and a step's cost is read from the problem's one
+  * table, `stepCosts`. The search state is arrays indexed by those ids: step
+  * reference counts, active MIRs, the current choice and a memo of
+  * maintenance estimates. Only the returned [[Solution]] is built from maps.
   *
   * Candidates are ordered by `java.lang.Double.compare` on their score, ties
   * broken by candidate index (a stable sort); sums run left to right from
@@ -84,11 +84,10 @@ object Solver {
 
     private def add(c: Cand): Unit = {
       val ks = c.stepIds
-      val cs = c.stepCosts
       var j = 0
       while (j < ks.length) {
         val r = stepRef(ks(j))
-        if (r == 0) curCost += cs(j)
+        if (r == 0) curCost += p.stepCosts(ks(j))
         stepRef(ks(j)) = r + 1
         j += 1
       }
@@ -96,11 +95,10 @@ object Solver {
 
     private def remove(c: Cand): Unit = {
       val ks = c.stepIds
-      val cs = c.stepCosts
       var j = 0
       while (j < ks.length) {
         val r = stepRef(ks(j)) - 1
-        if (r == 0) curCost -= cs(j)
+        if (r == 0) curCost -= p.stepCosts(ks(j))
         stepRef(ks(j)) = r
         j += 1
       }
@@ -108,12 +106,11 @@ object Solver {
 
     private def marginal(c: Cand): Double = {
       val ks = c.stepIds
-      val cs = c.stepCosts
       if (ks.isEmpty) return 0.0
-      var sum = if (stepRef(ks(0)) > 0) 0.0 else cs(0)
+      var sum = if (stepRef(ks(0)) > 0) 0.0 else p.stepCosts(ks(0))
       var j = 1
       while (j < ks.length) {
-        sum += (if (stepRef(ks(j)) > 0) 0.0 else cs(j))
+        sum += (if (stepRef(ks(j)) > 0) 0.0 else p.stepCosts(ks(j)))
         j += 1
       }
       sum
@@ -136,7 +133,7 @@ object Solver {
         var slotEst = 0.0
         var k = 0
         while (k < cs.size) {
-          val v = cs(k).cost + sumEstimates(cs(k), skipActive = false)
+          val v = p.cost(cs(k).stepIds) + sumEstimates(cs(k), skipActive = false)
           if (k == 0 || java.lang.Double.compare(slotEst, v) > 0) slotEst = v
           k += 1
         }

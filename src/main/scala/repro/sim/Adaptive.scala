@@ -1,6 +1,7 @@
 package repro.sim
 
 import repro.core._
+import repro.ilp.Solver
 
 /** Epoch-driven adaptive re-optimization (Section VI): at the start of epoch
   * e the statistics of epoch e-1 are evaluated; if the optimizer's plan
@@ -11,12 +12,11 @@ import repro.core._
   * query set active at a point in time; removed queries drop out of the
   * optimizer input and their stores are reference-count-collected by the sim.
   *
-  * Every plan is solved with `AdaptiveController.NodeBudget` nodes. A plan
-  * for an unchanged query set is installed only when its cost is below
-  * `AdaptiveController.Hysteresis` times the installed plan's cost re-priced
-  * under the same statistics: its steps' costs summed in the step table of
-  * the problem just built, which for value-equal queries holds every
-  * installed step (enumeration never reads the statistics).
+  * The problem is enumerated once per query set (compared by value) and
+  * re-priced under each epoch's statistics. Every plan is solved with
+  * `AdaptiveController.NodeBudget` nodes. A plan for an unchanged query set
+  * is installed only when its cost is below `AdaptiveController.Hysteresis`
+  * times the installed plan's step ids summed in the re-priced step table.
   */
 final class AdaptiveController(
     queriesAt: Double => Vector[Query],
@@ -26,10 +26,14 @@ final class AdaptiveController(
 ) extends Controller {
   import AdaptiveController._
 
-  /** The installed plan: its queries and its steps (`Solution.steps`). The
-    * empty configuration, like the state before the first install, is (∅, ∅).
+  /** The installed plan: its queries and its distinct step ids in `problem`,
+    * ascending. The empty configuration, like the state before the first
+    * install, is (∅, ∅).
     */
-  private var installed: (Set[Query], Set[StepKey]) = Empty
+  private var installed: (Set[Query], Vector[Int]) = Empty
+  /** The enumeration of the current query set, priced as last planned. */
+  private var problem: MqoProblem = null
+  var enumerations = 0
   var reoptimizations = 0
   var installs = 0
   var bootstraps = 0
@@ -57,12 +61,14 @@ final class AdaptiveController(
 
     stats.foreach { st =>
       reoptimizations += 1
-      val planned = Planner.mqo(qs, catalog, st, NodeBudget)
-      val plan = (qs.toSet, planned.solution.steps)
+      problem =
+        if (problem != null && problem.queries.toSet == qs.toSet) problem.repriced(st)
+        else { enumerations += 1; MqoProblem.build(qs, catalog, st) }
+      val planned = Planner.Planned(problem, Solver.solve(problem, NodeBudget))
+      val plan = (qs.toSet, planned.selection.orders.flatMap(_._2.stepIds).distinct.sorted)
       val queriesChanged = installed._1 != plan._1
-      // read only when the queries are unchanged
-      def clearlyBetter =
-        planned.solution.cost < Hysteresis * installed._2.iterator.map(planned.problem.stepCost).sum
+      // read only when the queries are unchanged, so the installed ids are `problem`'s
+      def clearlyBetter = planned.solution.cost < Hysteresis * problem.cost(installed._2.toArray)
       if (plan != installed && (queriesChanged || clearlyBetter)) {
         val topo = Topology.build(planned.selection, catalog)
         // Section VI.B bootstrap: when the new configuration only uses store
@@ -91,7 +97,7 @@ final class AdaptiveController(
 }
 
 object AdaptiveController {
-  private val Empty: (Set[Query], Set[StepKey]) = (Set.empty, Set.empty)
+  private val Empty: (Set[Query], Vector[Int]) = (Set.empty, Vector.empty)
 
   /** Solver node budget of every Fig 8 plan, static and adaptive, so the two
     * strategies differ only in when they re-plan.

@@ -112,9 +112,9 @@ class CostModelSpec extends AnyFunSuite {
   test("selection cost accounting: shared vs unshared") {
     val mqo = Planner.mqo(Seq(q1, q2), catalog, stats)
     val sel = mqo.selection
-    val sharedCost = sel.orders.flatMap(_._2.costed).toMap.values.sum
+    val sharedCost = sel.orders.flatMap(o => Costed(mqo.problem, o._2)).toMap.values.sum
     assert(math.abs(sharedCost - 800.0) < 1e-6)
-    val unshared = sel.orders.flatMap(_._2.costed.map(_._2)).sum
+    val unshared = sel.orders.flatMap(o => Costed(mqo.problem, o._2).map(_._2)).sum
     assert(unshared > sharedCost) // S→T / T→S counted twice unshared
   }
 
@@ -122,7 +122,7 @@ class CostModelSpec extends AnyFunSuite {
     val p = MqoProblem.build(Seq(q1), catalog, stats)
     val st = Mir.of(q1, Set("S", "T")).key
     val cands = p.slotCands(MirSlot(st, "S"))
-    val insert = cands.head.costed.last
+    val insert = Costed(p, cands.head).last
     assert(insert._1 == CostModel.insertKey(st, "S"))
     assert(insert._2 === 150.0 / 2) // |S⋈T| = 150, start-latest fraction 1/2
   }

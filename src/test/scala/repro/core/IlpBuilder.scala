@@ -54,9 +54,10 @@ object IlpBuilder {
 
       // Eq. 3: -PCost·x + Σ StepCost·y ≥ 0 forces every step of the chosen
       // candidate to 1 (step costs are positive).
-      val stepTerms = c.costed.map { case (k, cost) => Term(cost, yVar(k)) }
-      if (c.cost > 0)
-        constraints += Constraint(Term(-c.cost, x) +: stepTerms, Ge, 0.0, s"cost:${sid.key}#$i")
+      val stepTerms = Costed(p, c).map { case (k, cost) => Term(cost, yVar(k)) }
+      val cost = p.cost(c.stepIds)
+      if (cost > 0)
+        constraints += Constraint(Term(-cost, x) +: stepTerms, Ge, 0.0, s"cost:${sid.key}#$i")
     }
 
     val objective = stepKeys.map(k => Term(p.stepCost(k), yVar(k)))

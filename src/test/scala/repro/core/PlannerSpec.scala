@@ -42,7 +42,9 @@ class PlannerSpec extends AnyFunSuite {
     val indep = Planner.individual(Seq(q1, q2), catalog, stats)
     val indepTotal = indep.map(_.solution.cost).sum
     val shared = Planner.sharedFromIndividual(indep)
-    val sharedCost = shared.orders.flatMap(_._2.costed).toMap.values.sum
+    // each order is priced in the problem it came from
+    def problemOf(c: Cand) = indep.map(_.problem).find(_.cands.exists(_.exists(_ eq c))).get
+    val sharedCost = shared.orders.flatMap(o => Costed(problemOf(o._2), o._2)).toMap.values.sum
     val mqo = Planner.mqo(Seq(q1, q2), catalog, stats)
     assert(sharedCost <= indepTotal + 1e-9)
     assert(mqo.solution.cost <= sharedCost + 1e-9)
@@ -124,7 +126,7 @@ class PlannerSpec extends AnyFunSuite {
       assert(math.abs(priced - cost) <= 1e-9 * cost)
       planned.problem.slotCands.foreach {
         case (MirSlot(mk, start), cands) =>
-          cands.foreach(c => assert(c.costed.last._1 == CostModel.insertKey(mk, start)))
+          cands.foreach(c => assert(planned.problem.stepKeys(c.stepIds.last) == CostModel.insertKey(mk, start)))
         case _ =>
       }
     }

@@ -6,8 +6,8 @@ import scala.util.hashing.MurmurHash3
 
 /** Golden fingerprint of `MqoProblem.build`: the variable and probe-order
   * counts, the number of distinct steps, the order of slots and candidates,
-  * each candidate's costed step keys (in `costed` order) and MIR usage, and
-  * the exact bits of every costed cost and of `Cand.cost`. Any change in
+  * each candidate's step keys (in `stepIds` order) and MIR usage, and the
+  * exact bits of every step cost and of the candidate's cost. Any change in
   * enumeration order, step identity or floating-point evaluation order of
   * the cost model shows up here.
   */
@@ -46,9 +46,10 @@ object ProblemFingerprintSpec {
   /** What a build must reproduce exactly. Slots are visited query slots
     * first (in `querySlots` order), then the maintenance slots of each MIR
     * in MIR-key order. `slotsDigest` combines, per slot, its key and a digest
-    * of its candidates' costed step keys and `mirsUsed`, in candidate order;
-    * `costsDigest` combines the `doubleToLongBits` of every costed cost
-    * followed by that of `Cand.cost`, in the same order.
+    * of its candidates' step keys and `mirsUsed`, in candidate order;
+    * `costsDigest` combines the `doubleToLongBits` of every candidate's step
+    * costs followed by that of its cost, `p.cost(c.stepIds)`, in the same
+    * order.
     */
   final case class Print(numVars: Int, numProbeOrders: Int, numSteps: Int, numSlots: Int,
                          slotsDigest: Int, costsDigest: Int)
@@ -59,11 +60,12 @@ object ProblemFingerprintSpec {
       def bits(d: Double): Long = java.lang.Double.doubleToLongBits(d)
       val slotDigests = slots.map { s =>
         val cands = p.slotCands(s).map { c =>
-          MurmurHash3.orderedHash(c.costed.map(_._1.toString) ++ c.mirsUsed.map("mir " + _))
+          MurmurHash3.orderedHash(Costed(p, c).map(_._1.toString) ++ c.mirsUsed.map("mir " + _))
         }
         (s.key, MurmurHash3.orderedHash(cands))
       }
-      val costBits = slots.flatMap(p.slotCands).flatMap(c => c.costed.map(kc => bits(kc._2)) :+ bits(c.cost))
+      val costBits =
+        slots.flatMap(p.slotCands).flatMap(c => Costed(p, c).map(kc => bits(kc._2)) :+ bits(p.cost(c.stepIds)))
       Print(p.numVars, p.numProbeOrders, p.stepCost.size, slots.size,
             MurmurHash3.orderedHash(slotDigests), MurmurHash3.orderedHash(costBits))
     }

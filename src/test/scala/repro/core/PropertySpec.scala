@@ -203,7 +203,8 @@ class PropertySpec extends AnyFunSuite {
         p.cands(s).foreach { c =>
           assert(c.d.po.start == p.slots(s).start, s"slot $s: $c")
           p.slots(s) match {
-            case MirSlot(mk, start) => assert(c.costed.last._1 == CostModel.insertKey(mk, start), s"slot $s: $c")
+            case MirSlot(mk, start) =>
+              assert(p.stepKeys(c.stepIds.last) == CostModel.insertKey(mk, start), s"slot $s: $c")
             case _: QuerySlot       =>
           }
         }
@@ -225,26 +226,63 @@ class PropertySpec extends AnyFunSuite {
         assert(c.mirIds.toVector.map(p.mirKeys(_)) == c.mirsUsed, s"$sid: $c")
       }
 
+      // Step ids: one per key. Every step a candidate reaches costs, to the
+      // bit, what `CostModel` prices it at; an insert step costs the insert of
+      // its slot's subquery.
       val idOf = mutable.Map[StepKey, Int]()
+      def bits(d: Double) = java.lang.Double.doubleToLongBits(d)
       allCands(p).foreach { case (sid, c) =>
-        assert(c.stepIds.length == c.costed.size && c.stepCosts.length == c.costed.size)
+        val inserts = if (sid.isInstanceOf[MirSlot]) 1 else 0
+        assert(c.stepIds.length == c.steps.size + inserts)
         assert(c.steps == c.d.steps, s"$sid: $c")
-        c.costed.indices.foreach { j =>
-          val (k, cost) = c.costed(j)
+        c.stepIds.indices.foreach { j =>
           val id = c.stepIds(j)
-          assert(p.stepKeys(id) == k, s"$sid: id $id")
+          val k = p.stepKeys(id)
           assert(idOf.getOrElseUpdate(k, id) == id, s"$sid: key $k has two ids")
-          assert(c.stepCosts(j) == cost)
           assert(p.stepCosts(id) == p.stepCost(k))
-          assert(math.abs(cost - p.stepCosts(id)) <= 1e-6 * math.max(1.0, cost))
           if (j < c.steps.size) {
             val s = c.steps(j)
             assert(k == s.key && k == keyFromScratch(s), s"$sid: step $j of $c")
-            assert(cost == CostModel.stepCost(s, p.stats, p.catalog))
+            assert(bits(p.stepCosts(id)) == bits(CostModel.stepCost(s, p.stats, p.catalog)), s"$sid: step $j of $c")
+          } else sid match {
+            case MirSlot(mk, _) =>
+              val sub = Subquery.ofMir(p.mirByKey(mk), c.d.po.sub.window)
+              assert(c.d.po.sub == sub, s"$sid: $c")
+              assert(bits(p.stepCosts(id)) == bits(CostModel.insertCost(sub, p.stats)), s"$sid: insert of $c")
+            case _: QuerySlot => fail(s"$sid: a query slot's candidate has an insert step")
           }
         }
       }
       assert(idOf.size == p.stepKeys.length && p.stepKeys.distinct.length == p.stepKeys.length)
+    }
+  }
+
+  test("property: re-pricing a build equals building under the new statistics") {
+    val catalog = Catalog(relPool.map(r => r -> RelDef(r, attrPool, 3)).toMap, 3)
+    def bits(xs: Array[Double]) = xs.toVector.map(java.lang.Double.doubleToLongBits)
+    (1 to 20).foreach { s =>
+      val rng = new java.util.Random(s * 6151L)
+      val qs = Seq(genQuery(s * 101L).copy(name = "q1"), genQuery(s * 103L).copy(name = "q2"))
+      def randomStats() = Stats(relPool.map(_ -> (5.0 + rng.nextInt(200))).toMap,
+                                qs.flatMap(_.predicates).map(_ -> rng.nextDouble() * 0.2).toMap,
+                                defaultSel = rng.nextDouble() * 0.1)
+      val (a, b) = (randomStats(), randomStats())
+      val re = MqoProblem.build(qs, catalog, a).repriced(b)
+      val fresh = MqoProblem.build(qs, catalog, b)
+      assert(re.stats == b && re.queries == fresh.queries)
+      assert(re.slots.sameElements(fresh.slots) && re.numQuerySlots == fresh.numQuerySlots)
+      assert(re.cands.toVector == fresh.cands.toVector, s"seed $s")
+      re.cands.indices.foreach { i =>
+        re.cands(i).zip(fresh.cands(i)).foreach { case (x, y) =>
+          assert(x.stepIds.sameElements(y.stepIds) && x.mirIds.sameElements(y.mirIds), s"seed $s: $x")
+        }
+      }
+      assert(re.mirKeys.sameElements(fresh.mirKeys))
+      assert(re.mirSlotIds.map(_.toVector).toVector == fresh.mirSlotIds.map(_.toVector).toVector)
+      assert(re.stepKeys.sameElements(fresh.stepKeys))
+      assert(bits(re.stepCosts) == bits(fresh.stepCosts), s"seed $s")
+      val (x, y) = (repro.ilp.Solver.solve(re, 20000L), repro.ilp.Solver.solve(fresh, 20000L))
+      assert(x == y && bits(Array(x.cost)) == bits(Array(y.cost)), s"seed $s")
     }
   }
 

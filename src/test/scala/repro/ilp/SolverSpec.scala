@@ -13,7 +13,7 @@ class SolverSpec extends AnyFunSuite {
   private def bruteForce(p: MqoProblem): Double = {
     def rec(pending: List[SlotId], chosen: List[Cand], active: Set[String]): Double =
       pending match {
-        case Nil => chosen.flatMap(_.costed).toMap.values.sum
+        case Nil => chosen.flatMap(Costed(p, _)).toMap.values.sum
         case sid :: rest =>
           p.slotCands(sid).map { c =>
             val newMirs = c.mirsUsed.filterNot(active)
@@ -119,7 +119,7 @@ class SolverSpec extends AnyFunSuite {
     val p = MqoProblem.build(qs, cat, st)
     val sol = Solver.solve(p)
     val cost = sol.choice.toVector
-      .flatMap { case (sid, i) => p.slotCands(sid)(i).costed }
+      .flatMap { case (sid, i) => Costed(p, p.slotCands(sid)(i)) }
       .toMap.values.sum
     assert(math.abs(cost - sol.cost) < 1e-9)
   }

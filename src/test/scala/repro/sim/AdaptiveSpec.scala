@@ -64,6 +64,16 @@ class AdaptiveSpec extends AnyFunSuite {
     assert(m.resultCount(query.name) > 0)
   }
 
+  test("the query set is enumerated once while it stays value-equal") {
+    val sim = new EventSim(catalog, SimParams(deterministic = true))
+    // a new but value-equal query every epoch, redefined at 8 s
+    val ctrl = new AdaptiveController(
+      t => Vector(Artificial.query(if (t < 8.0) 5.0 else 3.0)), catalog, initialStats())
+    sim.run(Artificial.tiny(200), controller = Some(ctrl)) // 20 s
+    assert(ctrl.reoptimizations >= 15)
+    assert(ctrl.enumerations == 2)
+  }
+
   test("fig8a mechanics (scaled down): static fails, adaptive survives and recovers") {
     val rate = 400.0
     val window = 4.0

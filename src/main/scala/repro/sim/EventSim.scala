@@ -44,10 +44,11 @@ final case class SimParams(
 
 /** Measured outcomes of a simulation run.
   *
-  * The per-node and per-query figures are counted in arrays while the run
-  * goes; `sentByNode`, `resultCount`, `latencySum` and `latencyBuckets` are
-  * maps built from those counters when read. They hold only the nodes and
-  * queries with a non-zero count, and the first three read 0 for a missing key.
+  * The per-node, per-query and per-second figures are counted in arrays
+  * while the run goes; `sentByNode`, `resultCount`, `latencySum`,
+  * `latencyBuckets` and `tupleLatencyBuckets` are maps built from those
+  * counters when read. They hold only the nodes, queries and seconds with a
+  * non-zero count, and the first three read 0 for a missing key.
   * A `mutable.HashMap` iterates in an order fixed by its key set, so a sum
   * over a view's values adds in the same order as over the maps that were
   * updated in place.
@@ -58,11 +59,7 @@ final class Metrics {
   var probeMsgs = 0L
   var storeMsgs = 0L
   var matches = 0L
-  /** Per-input-tuple completion latency (Section VII.A: a tuple completes
-    * when all join results with it are computed — i.e. when its probe chain
-    * drains), bucketed by arrival second.
-    */
-  val tupleLatencyBuckets = mutable.Map[Long, (Double, Long)]()
+  private[sim] val tupleLatency = new PerSecond
   var tuplesCompleted = 0L
   var storedNow = 0L
   var inFlight = 0L
@@ -114,54 +111,75 @@ final class Metrics {
   /** (query, floor(second)) -> (Σ latency, results) for timelines. */
   def latencyBuckets: collection.Map[(String, Long), (Double, Long)] = {
     val m = mutable.Map[(String, Long), (Double, Long)]()
-    emitted.foreach { c =>
-      c.secCount.indices.foreach { i =>
-        if (c.secCount(i) > 0) m((c.name, c.firstSec + i)) = (c.secSum(i), c.secCount(i))
-      }
-    }
+    emitted.foreach(c => c.bySec.foreach((sec, sum, n) => m((c.name, sec)) = (sum, n)))
+    m
+  }
+
+  /** Per-input-tuple completion latency (Section VII.A: a tuple completes
+    * when all join results with it are computed — i.e. when its probe chain
+    * drains), bucketed by arrival second: floor(second) -> (Σ latency, tuples).
+    */
+  def tupleLatencyBuckets: collection.Map[Long, (Double, Long)] = {
+    val m = mutable.Map[Long, (Double, Long)]()
+    tupleLatency.foreach((sec, sum, n) => m(sec) = (sum, n))
     m
   }
 }
 
+/** Sums and counts per second, in arrays that cover the seconds from `first`
+  * on. They can grow downwards, because work completes out of order: a probe
+  * that waited for a busy worker completes after later ones.
+  */
+private[sim] final class PerSecond {
+  private var first = 0L
+  private var sum = Array.empty[Double]
+  private var count = Array.empty[Long]
+
+  /** Add `s` to second `sec`'s sum and `n` to its count. */
+  def add(sec: Long, s: Double, n: Long): Unit = {
+    val i = index(sec)
+    sum(i) += s
+    count(i) += n
+  }
+
+  /** Each second with a non-zero count, ascending, with its sum and count. */
+  def foreach(f: (Long, Double, Long) => Unit): Unit =
+    count.indices.foreach(i => if (count(i) > 0) f(first + i, sum(i), count(i)))
+
+  private def index(sec: Long): Int = {
+    if (count.length == 0) first = sec
+    if (sec < first) {
+      resize((first - sec).toInt, count.length + (first - sec).toInt)
+      first = sec
+    } else if (sec - first >= count.length) resize(0, (sec - first + 1).toInt)
+    (sec - first).toInt
+  }
+
+  /** Grow the arrays to at least `minLen` slots, moving the old ones up by `shift`. */
+  private def resize(shift: Int, minLen: Int): Unit = {
+    val len = math.max(minLen, math.max(16, 2 * count.length))
+    val s = new Array[Double](len)
+    val c = new Array[Long](len)
+    System.arraycopy(sum, 0, s, shift, sum.length)
+    System.arraycopy(count, 0, c, shift, count.length)
+    sum = s
+    count = c
+  }
+}
+
 /** The result counters of one query, shared by every compiled node that emits
-  * it, so that each sum accumulates in event order. The per-second arrays
-  * cover the seconds from `firstSec` on; they can grow downwards, because a
-  * probe that waited for a busy worker completes after later ones.
+  * it, so that each sum accumulates in event order.
   */
 private[sim] final class QueryCounter(val name: String) {
   var results = 0L
   var latencySum = 0.0
-  var firstSec = 0L
-  var secSum = Array.empty[Double]
-  var secCount = Array.empty[Long]
+  val bySec = new PerSecond
 
   /** Count `k` results completed at time `fin`, each with latency `lat`. */
   def add(fin: Double, lat: Double, k: Int): Unit = {
     results += k
     latencySum += lat * k
-    val i = secIndex(math.floor(fin).toLong)
-    secSum(i) += lat * k
-    secCount(i) += k
-  }
-
-  private def secIndex(sec: Long): Int = {
-    if (secCount.length == 0) firstSec = sec
-    if (sec < firstSec) {
-      resize((firstSec - sec).toInt, secCount.length + (firstSec - sec).toInt)
-      firstSec = sec
-    } else if (sec - firstSec >= secCount.length) resize(0, (sec - firstSec + 1).toInt)
-    (sec - firstSec).toInt
-  }
-
-  /** Grow the arrays to at least `minLen` slots, moving the old ones up by `shift`. */
-  private def resize(shift: Int, minLen: Int): Unit = {
-    val len = math.max(minLen, math.max(16, 2 * secCount.length))
-    val s = new Array[Double](len)
-    val c = new Array[Long](len)
-    System.arraycopy(secSum, 0, s, shift, secSum.length)
-    System.arraycopy(secCount, 0, c, shift, secCount.length)
-    secSum = s
-    secCount = c
+    bySec.add(math.floor(fin).toLong, lat * k, k)
   }
 }
 
@@ -367,9 +385,7 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
 
   private def completeTuple(srcId: Long, srcTs: Double, fin: Double): Unit = {
     metrics.tuplesCompleted += 1
-    val bucket = math.floor(srcTs).toLong
-    val (s0, c0) = metrics.tupleLatencyBuckets.getOrElse(bucket, (0.0, 0L))
-    metrics.tupleLatencyBuckets(bucket) = (s0 + (fin - srcTs), c0 + 1)
+    metrics.tupleLatency.add(math.floor(srcTs).toLong, fin - srcTs, 1)
     pendingProbes.remove(srcId)
   }
 

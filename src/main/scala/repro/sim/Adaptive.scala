@@ -90,9 +90,6 @@ final class AdaptiveController(
         installs += 1
       }
     }
-    // keep a window of epochs: the selectivity estimator matches against the
-    // union of samples over the last window
-    sim.samples.prune(epoch - windowEpochs - 2)
   }
 }
 

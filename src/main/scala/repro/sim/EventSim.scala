@@ -200,6 +200,14 @@ trait Controller {
   * an input tuple is probed once per maximal run of window-covered epochs
   * that share a configuration, so rewiring never loses results.
   *
+  * Schedule. The configuration schedule is the one record of which plan
+  * governs each epoch and of how long rows are kept. Its entries are the
+  * maximal runs: an install that continues the last kept entry's plan adds
+  * none. Its window, the largest query window of the scheduled plans, is
+  * recomputed only when an install or eviction changes the schedule; it is
+  * how far back an input tuple probes, the horizon past which entries and
+  * epoch samples are dropped, and the retention of every store.
+  *
   * Physical plan. `installConfig` compiles each `Topology` once into a
   * `PhysicalPlan`, so the event loop works on ints and arrays only:
   *  - a partial result is a `Row` (values, timestamps, min/max timestamp) in
@@ -222,8 +230,8 @@ trait Controller {
   * over primitive arrays (`EventQueue`), so simulated-time ties go to the
   * message enqueued first. Messages are created in a fixed order:
   * per-partition batches of a routed send in ascending partition order, probe
-  * candidates in store insertion order, base stores in covering-configuration
-  * order, then children before MIR inserts.
+  * candidates in store insertion order, base stores in order of first
+  * appearance over the covering runs, then children before MIR inserts.
   * Results are turned into `ITuple` maps only when `recordResults` is set.
   */
 final class EventSim(val catalog: Catalog, val params: SimParams, recordResults: Boolean = false) {
@@ -239,54 +247,55 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
   private val relLayouts: Array[Layout] = relNames.map(r => layout(Vector(r))).toArray
 
   // ---- configuration schedule -------------------------------------------
-  /** A configuration governing the epochs from `from` until the next one starts. */
+  /** A maximal run: the epochs from `from` until the next entry starts, all
+    * governed by `plan`.
+    */
   private final class Scheduled(val from: Long, val plan: PhysicalPlan)
 
-  // ascending in `from`
+  // ascending in `from`; neighbouring entries have different plans
   private var schedule = Array.empty[Scheduled]
+  /** The largest query window of the scheduled plans: how far back an input
+    * tuple probes, and how long every store retains its rows.
+    */
+  private var maxWindow = 0.0
 
-  private def globalMaxWindow: Double = {
-    var w = 0.0
-    var i = 0
-    while (i < schedule.length) { w = math.max(w, schedule(i).plan.topo.maxWindow); i += 1 }
-    w
+  private def reschedule(entries: Array[Scheduled]): Unit = {
+    schedule = entries
+    maxWindow = entries.foldLeft(0.0)(_ max _.plan.topo.maxWindow)
   }
 
   /** Install a configuration governing every epoch from `fromEpoch` onward
     * (any previously installed configuration with a later or equal start is
     * superseded — relevant for retroactive bootstrap installs). A topology
-    * object that is still installed keeps its compiled plan.
+    * object that is still installed keeps its compiled plan, and continues
+    * its run when it is the last one kept.
     */
   def installConfig(fromEpoch: Long, topo: Topology): Unit = {
     val kept = schedule.filter(_.from < fromEpoch)
-    topo.stores.values.foreach(ensureStore(_, topo.maxWindow))
+    topo.stores.values.foreach(ensureStore)
     val plan = kept.find(_.plan.topo eq topo).map(_.plan).getOrElse(
       PhysicalPlan.compile(topo, relIds, layout, storeId, metrics))
-    schedule = kept :+ new Scheduled(fromEpoch, plan)
+    reschedule(if (kept.lastOption.exists(_.plan eq plan)) kept else kept :+ new Scheduled(fromEpoch, plan))
   }
 
-  private def planFor(e: Long): PhysicalPlan = {
-    var i = schedule.length - 1
-    while (i >= 0 && schedule(i).from > e) i -= 1
-    if (i < 0) null else schedule(i).plan
+  /** Indices of the schedule entries that govern some epoch of `lo..hi`. */
+  private def governing(lo: Long, hi: Long): Range = {
+    var end = schedule.length
+    while (end > 0 && schedule(end - 1).from > hi) end -= 1
+    var start = end - 1
+    while (start > 0 && schedule(start).from > lo) start -= 1
+    math.max(start, 0) until end
   }
 
-  def configFor(e: Long): Option[Topology] = Option(planFor(e)).map(_.topo)
+  def configFor(e: Long): Option[Topology] = governing(e, e).headOption.map(schedule(_).plan.topo)
 
   /** Store instances maintained by *every* configuration governing the epoch
     * range — i.e. instances whose per-epoch content is complete over it.
     */
   def coveredStoreKeys(fromEpoch: Long, toEpoch: Long): Set[String] = {
-    var acc: Set[String] = null
-    var e = fromEpoch
-    while (e <= toEpoch) {
-      configFor(e) match {
-        case Some(c) => acc = if (acc == null) c.storeKeys else acc.intersect(c.storeKeys)
-        case None    => return Set.empty
-      }
-      e += 1
-    }
-    if (acc == null) Set.empty else acc
+    val runs = governing(fromEpoch, toEpoch)
+    if (fromEpoch > toEpoch || runs.isEmpty || schedule(runs.start).from > fromEpoch) Set.empty
+    else runs.map(schedule(_).plan.topo.storeKeys).reduce(_ intersect _)
   }
 
   // ---- stores -------------------------------------------------------------
@@ -318,8 +327,8 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     var busyUntil = 0.0
   }
 
-  /** A live store; it retains `window`, the window of the topology that created it. */
-  private final class StoreInst(val dfn: StoreDef, val window: Double) {
+  /** A live store; like every store, it retains the schedule's `maxWindow`. */
+  private final class StoreInst(val dfn: StoreDef) {
     val layout: Layout = EventSim.this.layout(dfn.ref.mir.relations)
     val parallelism: Int = dfn.parallelism
     val parts: Array[PartitionState] = Array.fill(parallelism)(new PartitionState)
@@ -341,9 +350,9 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
 
   private def storeId(key: String): Int = storeIdOf.getOrElseUpdate(key, { stores += null; stores.size - 1 })
 
-  private def ensureStore(dfn: StoreDef, window: Double): Unit = {
+  private def ensureStore(dfn: StoreDef): Unit = {
     val id = storeId(dfn.key)
-    if (stores(id) == null) stores(id) = new StoreInst(dfn, window)
+    if (stores(id) == null) stores(id) = new StoreInst(dfn)
   }
 
   def activeStoreKeys: Set[String] = stores.iterator.filter(_ != null).map(_.dfn.key).toSet
@@ -616,27 +625,20 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     if (rel < 0) return
     val single = relLayouts(rel).row(t)
 
-    // Algorithm 4: determine the maximal runs of window-covered epochs that
-    // share a configuration object; probe once per run, and store the tuple
-    // into the union of the covering configurations' base-store instances
-    // (future probe passes for old epochs use the old instances).
-    val eLo = math.max(epochOf(t.ts - globalMaxWindow), if (schedule.isEmpty) e0 else schedule(0).from)
-    val covering = mutable.ArrayBuffer[(PhysicalPlan, Long, Long)]()
-    var e = eLo
-    while (e <= e0) {
-      val cfg = planFor(e)
-      if (cfg != null) {
-        var h = e
-        while (h < e0 && (planFor(h + 1) eq cfg)) h += 1
-        covering += ((cfg, e, h))
-        e = h + 1
-      } else e += 1
-    }
-
-    covering.iterator.flatMap(_._1.ingest(rel)).distinct.foreach { sid =>
-      enqueue(t.ts + params.net, new StoreEv(sid, stores(sid).partitionOf(single), e0, single))
-      metrics.storeMsgs += 1
-    }
+    // Algorithm 4: the schedule entries governing the window-covered epochs
+    // are the maximal runs that share a configuration; probe once per run,
+    // and store the tuple into each base-store instance of those runs once,
+    // in order of first appearance (future probe passes for old epochs use
+    // the old instances).
+    val eLo = epochOf(t.ts - maxWindow)
+    val runs = governing(eLo, e0)
+    def ingest(k: Int) = schedule(k).plan.ingest(rel)
+    runs.foreach(k => ingest(k).foreach { sid =>
+      if (!(runs.start until k).exists(ingest(_).contains(sid))) {
+        enqueue(t.ts + params.net, new StoreEv(sid, stores(sid).partitionOf(single), e0, single))
+        metrics.storeMsgs += 1
+      }
+    })
 
     // The earliest covering configuration containing an MIR store instance
     // owns that instance's maintenance inserts for this tuple's passes.
@@ -644,12 +646,13 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     var rootMsgs = 0
     var ownedSoFar = BitSet.empty
     val rows = Array(single)
-    covering.foreach { case (cfg, lo, hi) =>
+    runs.foreach { k =>
+      val cfg = schedule(k).plan
+      val lo = math.max(eLo, schedule(k).from)
+      val hi = if (k + 1 < runs.end) schedule(k + 1).from - 1 else e0
       val own = cfg.storeIntoIds diff ownedSoFar
       ownedSoFar = ownedSoFar union cfg.storeIntoIds
-      cfg.roots(rel).foreach { root =>
-        rootMsgs += dispatch(root, lo, hi, rows, t.ts, srcId, own, t.ts + params.net)
-      }
+      cfg.roots(rel).foreach(root => rootMsgs += dispatch(root, lo, hi, rows, t.ts, srcId, own, t.ts + params.net))
     }
     if (rootMsgs > 0) pendingProbes(srcId) = rootMsgs
   }
@@ -657,9 +660,9 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
   // ---- eviction / gc ---------------------------------------------------------
   private def evict(now: Double): Unit = {
     val slack = params.epochLen + 10 * params.net
+    val cut = now - maxWindow - slack
     stores.foreach { st =>
       if (st != null) {
-        val cut = now - st.window - slack
         st.parts.foreach { ps =>
           val dead = ps.byEpoch.keys.filter(e => (e + 1) * params.epochLen < cut).toVector
           dead.foreach { e =>
@@ -673,10 +676,11 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     // Drop stores no longer referenced by any configuration that can still be
     // targeted (Section VI.B reference counting on query removal).
     val curEpoch = epochOf(now)
-    val horizon = curEpoch - math.ceil((globalMaxWindow + slack) / params.epochLen).toLong - 1
+    val horizon = curEpoch - math.ceil((maxWindow + slack) / params.epochLen).toLong - 1
     // keep the last configuration at or before the horizon
     val old = schedule.count(_.from <= horizon)
-    if (old > 1) schedule = schedule.drop(old - 1)
+    if (old > 1) reschedule(schedule.drop(old - 1))
+    samples.prune(horizon)
     val referenced = schedule.foldLeft(BitSet.empty)(_ union _.plan.storeIds)
     stores.indices.foreach { id =>
       if (stores(id) != null && !referenced(id)) {

@@ -1,6 +1,7 @@
 package repro.sim
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestData
 import repro.core._
 import repro.data.Artificial
 
@@ -155,5 +156,21 @@ class AdaptiveSpec extends AnyFunSuite {
     assert(active.get(25L).contains(Map(query.name -> query.window)))
     // results resume once the returning plan is installed
     assert(m.latencyBuckets.keys.exists { case (q, s) => q == query.name && s >= 20 })
+  }
+
+  test("a query redefined to a wider window joins rows stored under the narrower one") {
+    def rs(window: Double) = Query("rs", Set("R", "S"), Set(Pred.of("R", "a", "S", "a")), window)
+    // each S arrives 4.5 s after the R with its key: inside 5 s, outside 1 s
+    val input = (0 until 6).flatMap { i =>
+      Vector(InTuple("R", Map("R.a" -> i.toLong), 12.0 + i),
+             InTuple("S", Map("S.a" -> i.toLong, "S.b" -> 0L), 16.5 + i))
+    }.sortBy(_.ts)
+    val sim = new EventSim(catalog, SimParams(deterministic = true))
+    val ctrl = new AdaptiveController(t => Vector(rs(if (t < 8.0) 1.0 else 5.0)), catalog, initialStats(),
+                                      useEstimates = false)
+    val m = sim.run(input, controller = Some(ctrl))
+    val expected = TestData.naiveJoin(rs(5.0), input).size
+    assert(expected == 6)
+    assert(m.resultCount("rs") == expected)
   }
 }

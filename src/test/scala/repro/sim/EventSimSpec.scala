@@ -184,6 +184,7 @@ class EventSimSpec extends SparkSpec {
     assert(m.peakStored < longInput.size)
     // eviction happened: far more store operations than tuples retained
     assert(m.storeMsgs > m.peakStored)
+    assert(sim.samples.count(0, "R") == 0)
   }
 
   test("stores of dropped configurations are garbage collected") {
@@ -213,5 +214,35 @@ class EventSimSpec extends SparkSpec {
     val counted = new Metrics
     Seq(5.5 -> 1, 3.2 -> 2, 40.0 -> 1, 3.9 -> 1).foreach { case (fin, k) => counted.queryCounter("q").add(fin, 0.5, k) }
     assert(counted.latencyBuckets == Map(("q", 3L) -> (1.5, 3L), ("q", 5L) -> (0.5, 1L), ("q", 40L) -> (0.5, 1L)))
+  }
+
+  private def counters(m: Metrics) = (m.storeMsgs, m.probeMsgs, m.matches, m.tuplesSent, m.resultCount)
+
+  test("a topology installed from epoch 5 acts as if the input began at 5 s") {
+    val topo = Topology.build(Planner.mqo(Seq(query), catalog, stats()).selection, catalog)
+    val longInput = Artificial.tiny(200)
+    def run(from: Long, input: Vector[InTuple]): Metrics = {
+      val sim = new EventSim(catalog, det)
+      sim.installConfig(from, topo)
+      sim.run(input)
+    }
+    val late = run(5L, longInput)
+    assert(late.resultCount(query.name) > 0)
+    // tuples of the epochs before the first configuration store and probe nothing
+    assert(counters(late) == counters(run(0L, longInput.filter(_.ts >= 5.0))))
+  }
+
+  test("installing the installed topology again continues its run") {
+    val topo = Topology.build(Planner.mqo(Seq(query), catalog, mirStats).selection, catalog)
+    def run(froms: Long*): (Metrics, Seq[(String, Map[String, Double])]) = {
+      val sim = new EventSim(catalog, SimParams(), recordResults = true)
+      froms.foreach(sim.installConfig(_, topo))
+      val m = sim.run(Artificial.tiny(200))
+      (m, m.results.toSeq.map { case (q, t) => q -> TestData.simResultKey(query.relations, t) })
+    }
+    val ((once, onceResults), (twice, twiceResults)) = (run(0L), run(0L, 4L))
+    assert(once.resultCount(query.name) > 0)
+    assert(counters(twice) == counters(once))
+    assert(twiceResults == onceResults)
   }
 }

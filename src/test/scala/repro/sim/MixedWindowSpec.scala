@@ -56,4 +56,22 @@ class MixedWindowSpec extends AnyFunSuite {
     assert(joint.resultCount("narrow") > 0 && joint.resultCount("wide") > 0)
     val _ = input
   }
+
+  test("a wider query added over shared stores sees the rows stored before it") {
+    val preds = Set(Pred.of("R", "a", "S", "a"))
+    val narrow = Query("rs-narrow", Set("R", "S"), preds, window = 1.0)
+    val wide = Query("rs-wide", Set("R", "S"), preds, window = 5.0)
+    def topo(qs: Query*) = Topology.build(Planner.mqo(qs, catalog, stats).selection, catalog)
+    val (before, after) = (topo(narrow), topo(narrow, wide))
+    assert(before.storeKeys == after.storeKeys, "test needs both plans over the same stores")
+    val input = Vector(InTuple("R", Map("R.a" -> 1L), 10.0), InTuple("S", Map("S.a" -> 1L, "S.b" -> 2L), 14.5))
+    val sim = new EventSim(catalog, SimParams(deterministic = true), recordResults = true)
+    sim.installConfig(0L, before)
+    sim.installConfig(3L, after)
+    val m = sim.run(input)
+    val got = m.results.collect { case (q, t) if q == wide.name => TestData.simResultKey(wide.relations, t) }.toSet
+    val expected = TestData.naiveJoin(wide, input)
+    assert(expected.size == 1)
+    assert(got == expected)
+  }
 }

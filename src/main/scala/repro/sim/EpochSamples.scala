@@ -9,29 +9,43 @@ import scala.collection.mutable
   */
 final class EpochSamples(epochLen: Double, sampleSize: Int = 512) {
 
-  private final class EpochData {
-    val counts = mutable.Map[String, Long]().withDefaultValue(0L)
-    val reservoirs = mutable.Map[String, mutable.ArrayBuffer[InTuple]]()
-    val rngs = mutable.Map[String, java.util.Random]()
+  /** One relation's arrivals in one epoch: their count, the reservoir, and
+    * the reservoir's random source, created at its first replacement.
+    */
+  private final class RelSample {
+    var count = 0L
+    val reservoir = mutable.ArrayBuffer[InTuple]()
+    var rng: java.util.Random = null
   }
 
-  private val epochs = mutable.Map[Long, EpochData]()
+  private val epochs = mutable.LongMap[mutable.HashMap[String, RelSample]]()
+  // the epoch `observe` last wrote to and its samples; null after `prune`
+  private var curEpoch = 0L
+  private var cur: mutable.HashMap[String, RelSample] = null
 
   def observe(epoch: Long, t: InTuple): Unit = {
-    val d = epochs.getOrElseUpdate(epoch, new EpochData)
-    val n = d.counts(t.rel)
-    d.counts(t.rel) = n + 1
-    val res = d.reservoirs.getOrElseUpdate(t.rel, mutable.ArrayBuffer.empty)
-    if (res.size < sampleSize) res += t
+    if (cur == null || epoch != curEpoch) {
+      cur = epochs.getOrElseUpdate(epoch, mutable.HashMap())
+      curEpoch = epoch
+    }
+    var r = cur.getOrElse(t.rel, null)
+    if (r == null) {
+      r = new RelSample
+      cur(t.rel) = r
+    }
+    val n = r.count
+    r.count = n + 1
+    if (r.reservoir.size < sampleSize) r.reservoir += t
     else {
-      val rng = d.rngs.getOrElseUpdate(t.rel, new java.util.Random(epoch * 31 + t.rel.hashCode))
-      val j = (rng.nextDouble() * (n + 1)).toLong
-      if (j < sampleSize) res(j.toInt) = t
+      if (r.rng == null) r.rng = new java.util.Random(epoch * 31 + t.rel.hashCode)
+      val j = (r.rng.nextDouble() * (n + 1)).toLong
+      if (j < sampleSize) r.reservoir(j.toInt) = t
     }
   }
 
-  def count(epoch: Long, rel: String): Long =
-    epochs.get(epoch).map(_.counts(rel)).getOrElse(0L)
+  private def sample(epoch: Long, rel: String): Option[RelSample] = epochs.get(epoch).flatMap(_.get(rel))
+
+  def count(epoch: Long, rel: String): Long = sample(epoch, rel).fold(0L)(_.count)
 
   /** Estimate Stats from epoch data: per-window cardinality = rate × window,
     * and per-predicate selectivity as the match rate between the epoch's
@@ -43,18 +57,18 @@ final class EpochSamples(epochLen: Double, sampleSize: Int = 512) {
   def estimate(epoch: Long, queries: Seq[Query], window: Double): Option[Stats] = {
     val d = epochs.get(epoch).getOrElse(return None)
     val rels = queries.flatMap(_.relations).toSet
-    if (!rels.forall(r => d.counts(r) > 0)) return None
+    if (!rels.forall(d.contains)) return None // a relation's record exists from its first arrival
 
-    val card = rels.map(r => r -> d.counts(r).toDouble / epochLen * window).toMap
+    val card = rels.map(r => r -> d(r).count.toDouble / epochLen * window).toMap
 
     val windowEpochs = math.max(1L, math.ceil(window / epochLen).toLong)
     def windowSample(rel: String): Vector[InTuple] =
       (math.max(0L, epoch - windowEpochs + 1) to epoch).flatMap(e =>
-        epochs.get(e).flatMap(_.reservoirs.get(rel)).getOrElse(Nil)).toVector
+        sample(e, rel).fold[Iterable[InTuple]](Nil)(_.reservoir)).toVector
 
     val preds = queries.flatMap(_.predicates).toSet
     val sel = preds.map { p =>
-      val sa = d.reservoirs(p.x.rel)
+      val sa = d(p.x.rel).reservoir
       val sb = windowSample(p.y.rel)
       val byVal = mutable.Map[Long, Long]().withDefaultValue(0L)
       sa.foreach(t => byVal(t.vals(p.x.full)) += 1)
@@ -67,6 +81,8 @@ final class EpochSamples(epochLen: Double, sampleSize: Int = 512) {
   }
 
   /** Drop epochs older than `beforeEpoch` to bound memory. */
-  def prune(beforeEpoch: Long): Unit =
+  def prune(beforeEpoch: Long): Unit = {
     epochs.keys.filter(_ < beforeEpoch).toVector.foreach(epochs.remove)
+    cur = null
+  }
 }

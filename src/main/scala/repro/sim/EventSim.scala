@@ -215,15 +215,25 @@ trait Controller {
   *    catalog attribute of those relations, one timestamp per relation;
   *  - store instances are interned by `StoreRef.key` into a registry that
   *    lives as long as the simulator, since configurations share instances by
-  *    key; each container indexes its rows by value slot;
+  *    key; each partition keeps its per-epoch containers in a ring indexed by
+  *    epoch (`EpochRing`), and each container keeps its rows in an array with
+  *    min/max timestamp columns and indexes them per value slot with chains
+  *    of row indices (`Container`, `SlotIndex`), built on the slot's first
+  *    probe;
   *  - per node the plan holds the target store id, the routing slot (or
   *    broadcast), the probe slot pairs, the gather that merges a prefix row
   *    with a candidate, the children, the emitted queries with their windows,
   *    and the MIR stores it inserts into, as well as its slot in the sent
   *    counters and the result counters of the queries it emits.
-  * A probe match is built into a `Row` only when something reads it: a child
-  * node, an MIR insert the pass owns, or `recordResults`. Otherwise the probe
-  * keeps only the match's min/max timestamp, which is all emission reads.
+  * A probe reads a candidate's timestamp columns, and its `Row` only to check
+  * a second slot pair or to build a match. A match is built into a `Row` only
+  * when something reads it: a child node, an MIR insert the pass owns, or
+  * `recordResults`. Otherwise the probe keeps only the match's min/max
+  * timestamp, which is all emission reads. The per-event path allocates the
+  * rows and messages it emits, and otherwise only grows arrays: it reuses
+  * scratch arrays, counts outstanding probes in an array indexed by the
+  * input tuple's dense id, and builds ownership sets only for a tuple whose
+  * window spans more than one schedule entry.
   * The per-node and per-query metric maps are views built from array
   * counters (see `Metrics`).
   * Events are ordered by (time, priority, sequence number) in a binary heap
@@ -278,52 +288,38 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     reschedule(if (kept.lastOption.exists(_.plan eq plan)) kept else kept :+ new Scheduled(fromEpoch, plan))
   }
 
-  /** Indices of the schedule entries that govern some epoch of `lo..hi`. */
-  private def governing(lo: Long, hi: Long): Range = {
+  // the schedule entries `governing` found: indices govStart until govEnd
+  private var govStart = 0
+  private var govEnd = 0
+
+  /** Set `govStart until govEnd` to the indices of the schedule entries that
+    * govern some epoch of `lo..hi`.
+    */
+  private def governing(lo: Long, hi: Long): Unit = {
     var end = schedule.length
     while (end > 0 && schedule(end - 1).from > hi) end -= 1
     var start = end - 1
     while (start > 0 && schedule(start).from > lo) start -= 1
-    math.max(start, 0) until end
+    govStart = math.max(start, 0)
+    govEnd = end
   }
 
-  def configFor(e: Long): Option[Topology] = governing(e, e).headOption.map(schedule(_).plan.topo)
+  private def governingRange(lo: Long, hi: Long): Range = { governing(lo, hi); govStart until govEnd }
+
+  def configFor(e: Long): Option[Topology] = governingRange(e, e).headOption.map(schedule(_).plan.topo)
 
   /** Store instances maintained by *every* configuration governing the epoch
     * range — i.e. instances whose per-epoch content is complete over it.
     */
   def coveredStoreKeys(fromEpoch: Long, toEpoch: Long): Set[String] = {
-    val runs = governing(fromEpoch, toEpoch)
+    val runs = governingRange(fromEpoch, toEpoch)
     if (fromEpoch > toEpoch || runs.isEmpty || schedule(runs.start).from > fromEpoch) Set.empty
     else runs.map(schedule(_).plan.topo.storeKeys).reduce(_ intersect _)
   }
 
   // ---- stores -------------------------------------------------------------
-  private final class Container(nSlots: Int) {
-    val rows = mutable.ArrayBuffer[Row]()
-    private val idx = new Array[mutable.LongMap[mutable.ArrayBuffer[Row]]](nSlots)
-    def add(r: Row): Unit = {
-      rows += r
-      var s = 0
-      while (s < nSlots) {
-        if (idx(s) != null) idx(s).getOrElseUpdate(r.vals(s), mutable.ArrayBuffer.empty) += r
-        s += 1
-      }
-    }
-    /** Rows whose value slot `slot` equals `v`, in insertion order. */
-    def lookup(slot: Int, v: Long): mutable.ArrayBuffer[Row] = {
-      if (idx(slot) == null) {
-        val m = mutable.LongMap[mutable.ArrayBuffer[Row]]()
-        rows.foreach(r => m.getOrElseUpdate(r.vals(slot), mutable.ArrayBuffer.empty) += r)
-        idx(slot) = m
-      }
-      idx(slot).getOrElse(v, EventSim.emptyBuf)
-    }
-    def size: Int = rows.size
-  }
-
-  private final class PartitionState {
-    val byEpoch = mutable.LongMap[Container]()
+  private final class PartitionState(nSlots: Int) {
+    val byEpoch = new EpochRing(nSlots)
     var busyUntil = 0.0
   }
 
@@ -331,7 +327,7 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
   private final class StoreInst(val dfn: StoreDef) {
     val layout: Layout = EventSim.this.layout(dfn.ref.mir.relations)
     val parallelism: Int = dfn.parallelism
-    val parts: Array[PartitionState] = Array.fill(parallelism)(new PartitionState)
+    val parts: Array[PartitionState] = Array.fill(parallelism)(new PartitionState(layout.attrs.size))
     private val partSlot = dfn.ref.part.map(layout.slot).getOrElse(-1)
     var stored = 0L
 
@@ -340,7 +336,12 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
       */
     def partitionOf(r: Row): Int =
       if (partSlot >= 0) hashPart(r.vals(partSlot), parallelism)
-      else hashPart(r.vals.foldLeft(17L)((h, v) => h * 31 + v), parallelism)
+      else {
+        var h = 17L
+        var i = 0
+        while (i < r.vals.length) { h = h * 31 + r.vals(i); i += 1 }
+        hashPart(h, parallelism)
+      }
   }
 
   // Store registry: ids are interned by `StoreRef.key` for the whole run; a
@@ -383,19 +384,21 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     * any later pass's combinations).
     */
   private final class ProbeEv(store: Int, part: Int, val node: PlanNode, val ownLo: Long, val ownHi: Long,
-                              val rows: Array[Row], val srcTs: Double, val srcId: Long, val storeOwn: BitSet)
+                              val rows: Array[Row], val srcTs: Double, val srcId: Int, val storeOwn: BitSet)
       extends Ev(1, store, part) {
     def size: Int = rows.length
   }
 
-  // Outstanding probe messages per source tuple — a tuple "completes" (all
-  // its join results computed) when this drains to zero.
-  private val pendingProbes = mutable.LongMap[Int]()
+  // Outstanding probe messages per source tuple, indexed by its dense id —
+  // a tuple "completes" (all its join results computed) when this drains to
+  // zero. 0 also marks a tuple with no count: one that sent no probe, or
+  // has completed.
+  private var pendingProbes = new Array[Int](1024)
 
-  private def completeTuple(srcId: Long, srcTs: Double, fin: Double): Unit = {
+  private def completeTuple(srcId: Int, srcTs: Double, fin: Double): Unit = {
     metrics.tuplesCompleted += 1
     metrics.tupleLatency.add(math.floor(srcTs).toLong, fin - srcTs, 1)
-    pendingProbes.remove(srcId)
+    pendingProbes(srcId) = 0
   }
 
   // earliest time first; at equal times stores (priority 0) before probes,
@@ -428,9 +431,13 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
   }
 
   // ---- probing ---------------------------------------------------------------
-  // Scratch arrays reused by every call: the partition of each dispatched row,
-  // and per match of a probe, its [min, max] timestamp span and built row.
+  // Scratch arrays reused by every call: the partition of each dispatched row;
+  // per partition, the rows of a routed batch not yet placed and the batch
+  // (all 0 and null between calls); and per match of a probe, its [min, max]
+  // timestamp span and built row.
   private var rowPart = new Array[Int](64)
+  private var partLeft = new Array[Int](16)
+  private var partBatch = new Array[Array[Row]](16)
   private var matchLo = new Array[Double](64)
   private var matchHi = new Array[Double](64)
   private var matchRow = new Array[Row](64)
@@ -442,16 +449,18 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     * χ in the probe cost).
     */
   private def dispatch(node: PlanNode, eLo: Long, eHi: Long, rows: Array[Row], srcTs: Double,
-                       srcId: Long, storeOwn: BitSet, time: Double): Int = {
+                       srcId: Int, storeOwn: BitSet, time: Double): Int = {
     val par = stores(node.target).parallelism
-    def send(p: Int, batch: Array[Row]): Unit =
-      enqueue(time, new ProbeEv(node.target, p, node, eLo, eHi, batch, srcTs, srcId, storeOwn))
     val n = rows.length
     var msgs = 0
     val sent =
       if (node.routeSlot >= 0) {
         if (n > rowPart.length) rowPart = new Array[Int](math.max(n, 2 * rowPart.length))
-        val left = new Array[Int](par) // rows of each partition not yet placed
+        if (par > partLeft.length) {
+          partLeft = new Array[Int](math.max(par, 2 * partLeft.length))
+          partBatch = new Array[Array[Row]](partLeft.length)
+        }
+        val left = partLeft
         var i = 0
         while (i < n) {
           val p = hashPart(rows(i).vals(node.routeSlot), par)
@@ -460,10 +469,11 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
           i += 1
         }
         if (left(rowPart(0)) == n) {
-          send(rowPart(0), rows)
+          left(rowPart(0)) = 0
+          sendProbe(node, rowPart(0), eLo, eHi, rows, srcTs, srcId, storeOwn, time)
           msgs = 1
         } else {
-          val batches = new Array[Array[Row]](par)
+          val batches = partBatch
           i = 0
           while (i < n) {
             val p = rowPart(i)
@@ -475,13 +485,17 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
           }
           var p = 0
           while (p < par) {
-            if (batches(p) != null) { send(p, batches(p)); msgs += 1 }
+            if (batches(p) != null) {
+              sendProbe(node, p, eLo, eHi, batches(p), srcTs, srcId, storeOwn, time)
+              batches(p) = null
+              msgs += 1
+            }
             p += 1
           }
         }
         n.toLong
       } else {
-        while (msgs < par) { send(msgs, rows); msgs += 1 }
+        while (msgs < par) { sendProbe(node, msgs, eLo, eHi, rows, srcTs, srcId, storeOwn, time); msgs += 1 }
         n.toLong * par
       }
     metrics.tuplesSent += sent
@@ -489,6 +503,10 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     metrics.probeMsgs += msgs
     msgs
   }
+
+  private def sendProbe(node: PlanNode, p: Int, eLo: Long, eHi: Long, batch: Array[Row], srcTs: Double,
+                        srcId: Int, storeOwn: BitSet, time: Double): Unit =
+    enqueue(time, new ProbeEv(node.target, p, node, eLo, eHi, batch, srcTs, srcId, storeOwn))
 
   private def handleStore(ev: StoreEv, now: Double): Unit = {
     val st = stores(ev.store)
@@ -498,7 +516,7 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     ps.busyUntil = start + dur
     metrics.totalBusy += dur
     noteBacklog(ps, now)
-    ps.byEpoch.getOrElseUpdate(ev.epoch, new Container(st.layout.attrs.size)).add(ev.row)
+    ps.byEpoch.getOrCreate(ev.epoch).add(ev.row)
     st.stored += 1
     metrics.storedNow += 1
     if (metrics.storedNow > metrics.peakStored) metrics.peakStored = metrics.storedNow
@@ -508,38 +526,45 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     val ps = stores(ev.store).parts(ev.part)
     val node = ev.node
     val w = node.window
-    require(node.probeTarget.nonEmpty, s"cross-product probe at node ${node.id}")
+    val nPairs = node.probeTarget.length
     val sa = node.probeTarget(0)
     val pa = node.probePrefix(0)
-    val nPairs = node.probeTarget.length
     // a match becomes a row only if something reads it: a child probe, an
     // MIR insert this pass owns, or the recorded results; emission needs only
     // its timestamp span
-    val build = node.children.length > 0 || node.storeInto.exists(ev.storeOwn) || recordResults
+    var build = node.children.length > 0 || recordResults
+    var s = 0
+    while (!build && s < node.storeInto.length) { build = ev.storeOwn(node.storeInto(s)); s += 1 }
 
     var n = 0
-    val probeHi = epochOf(ev.srcTs)
+    val srcTs = ev.srcTs
+    val probeHi = epochOf(srcTs)
     var t = 0
     while (t < ev.rows.length) {
       val tup = ev.rows(t)
       val pv = tup.vals(pa)
+      val tMin = tup.minTs
+      val tMax = tup.maxTs
       var e = ev.ownLo
       while (e <= probeHi) {
-        val cont = ps.byEpoch.getOrNull(e)
+        val cont = ps.byEpoch.get(e)
         if (cont != null) {
-          val cands = cont.lookup(sa, pv)
-          var i = 0
-          while (i < cands.length) {
-            val c = cands(i)
-            var ok = c.maxTs < ev.srcTs
-            var k = 1
-            while (ok && k < nPairs) {
-              ok = c.vals(node.probeTarget(k)) == tup.vals(node.probePrefix(k))
-              k += 1
+          val ix = cont.index(sa)
+          var i = ix.first(pv)
+          while (i >= 0) {
+            val cHi = cont.maxTs(i)
+            var ok = cHi < srcTs
+            if (ok && nPairs > 1) {
+              val c = cont.row(i)
+              var k = 1
+              while (ok && k < nPairs) {
+                ok = c.vals(node.probeTarget(k)) == tup.vals(node.probePrefix(k))
+                k += 1
+              }
             }
             if (ok) {
-              val lo = math.min(tup.minTs, c.minTs)
-              val hi = math.max(tup.maxTs, c.maxTs)
+              val lo = math.min(tMin, cont.minTs(i))
+              val hi = math.max(tMax, cHi)
               if (hi - lo <= w) {
                 if (n == matchLo.length) {
                   matchLo = java.util.Arrays.copyOf(matchLo, 2 * n)
@@ -548,11 +573,11 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
                 }
                 matchLo(n) = lo
                 matchHi(n) = hi
-                if (build) matchRow(n) = node.merge(tup, c)
+                if (build) matchRow(n) = node.merge(tup, cont.row(i))
                 n += 1
               }
             }
-            i += 1
+            i = ix.next(i)
           }
         }
         e += 1
@@ -575,8 +600,10 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
       val out = if (build) java.util.Arrays.copyOf(matchRow, n) else null
       // the scratch must not keep the rows alive
       if (build) java.util.Arrays.fill(matchRow.asInstanceOf[Array[AnyRef]], 0, n, null)
-      node.children.foreach { child =>
-        downstream += dispatch(child, ev.ownLo, ev.ownHi, out, ev.srcTs, ev.srcId, ev.storeOwn, fin + params.net)
+      var c = 0
+      while (c < node.children.length) {
+        downstream += dispatch(node.children(c), ev.ownLo, ev.ownHi, out, srcTs, ev.srcId, ev.storeOwn, fin + params.net)
+        c += 1
       }
       // only combinations owned by this pass's epoch range are final results;
       // each query additionally enforces its exact window on emission (shared
@@ -595,25 +622,32 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
           }
           i += 1
         }
-        if (k > 0) q.add(fin, fin - ev.srcTs, k)
+        if (k > 0) q.add(fin, fin - srcTs, k)
         qi += 1
       }
       // MIR maintenance: the owning pass inserts every produced combination
       // (it probes the widest range — a superset of later passes' output)
-      node.storeInto.foreach { sid =>
+      var j = 0
+      while (j < node.storeInto.length) {
+        val sid = node.storeInto(j)
         if (ev.storeOwn(sid)) {
           val tgt = stores(sid)
-          out.foreach { m =>
+          var i = 0
+          while (i < n) {
+            val m = out(i)
             enqueue(fin + params.net, new StoreEv(sid, tgt.partitionOf(m), epochOf(m.minTs), m))
             metrics.storeMsgs += 1
+            i += 1
           }
         }
+        j += 1
       }
     }
 
     // completion tracking: this message is consumed, downstream ones created
-    val rem = pendingProbes.getOrElse(ev.srcId, 1) - 1 + downstream
-    if (rem <= 0) completeTuple(ev.srcId, ev.srcTs, fin)
+    val pending = pendingProbes(ev.srcId)
+    val rem = (if (pending == 0) 1 else pending) - 1 + downstream
+    if (rem <= 0) completeTuple(ev.srcId, srcTs, fin)
     else pendingProbes(ev.srcId) = rem
   }
 
@@ -631,28 +665,45 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     // in order of first appearance (future probe passes for old epochs use
     // the old instances).
     val eLo = epochOf(t.ts - maxWindow)
-    val runs = governing(eLo, e0)
-    def ingest(k: Int) = schedule(k).plan.ingest(rel)
-    runs.foreach(k => ingest(k).foreach { sid =>
-      if (!(runs.start until k).exists(ingest(_).contains(sid))) {
-        enqueue(t.ts + params.net, new StoreEv(sid, stores(sid).partitionOf(single), e0, single))
-        metrics.storeMsgs += 1
+    governing(eLo, e0)
+    val first = govStart
+    val end = govEnd
+    var k = first
+    while (k < end) {
+      val ingest = schedule(k).plan.ingest(rel)
+      var j = 0
+      while (j < ingest.length) {
+        val sid = ingest(j)
+        if (k == first || !(first until k).exists(schedule(_).plan.ingest(rel).contains(sid))) {
+          enqueue(t.ts + params.net, new StoreEv(sid, stores(sid).partitionOf(single), e0, single))
+          metrics.storeMsgs += 1
+        }
+        j += 1
       }
-    })
+      k += 1
+    }
 
     // The earliest covering configuration containing an MIR store instance
     // owns that instance's maintenance inserts for this tuple's passes.
-    val srcId = metrics.inputTuples
+    val srcId = metrics.inputTuples.toInt
+    if (srcId >= pendingProbes.length) pendingProbes = java.util.Arrays.copyOf(pendingProbes, 2 * pendingProbes.length)
     var rootMsgs = 0
     var ownedSoFar = BitSet.empty
     val rows = Array(single)
-    runs.foreach { k =>
+    k = first
+    while (k < end) {
       val cfg = schedule(k).plan
       val lo = math.max(eLo, schedule(k).from)
-      val hi = if (k + 1 < runs.end) schedule(k + 1).from - 1 else e0
-      val own = cfg.storeIntoIds diff ownedSoFar
-      ownedSoFar = ownedSoFar union cfg.storeIntoIds
-      cfg.roots(rel).foreach(root => rootMsgs += dispatch(root, lo, hi, rows, t.ts, srcId, own, t.ts + params.net))
+      val hi = if (k + 1 < end) schedule(k + 1).from - 1 else e0
+      val own = if (k == first) cfg.storeIntoIds else cfg.storeIntoIds diff ownedSoFar
+      if (k + 1 < end) ownedSoFar = ownedSoFar union cfg.storeIntoIds
+      val roots = cfg.roots(rel)
+      var r = 0
+      while (r < roots.length) {
+        rootMsgs += dispatch(roots(r), lo, hi, rows, t.ts, srcId, own, t.ts + params.net)
+        r += 1
+      }
+      k += 1
     }
     if (rootMsgs > 0) pendingProbes(srcId) = rootMsgs
   }
@@ -664,12 +715,9 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     stores.foreach { st =>
       if (st != null) {
         st.parts.foreach { ps =>
-          val dead = ps.byEpoch.keys.filter(e => (e + 1) * params.epochLen < cut).toVector
-          dead.foreach { e =>
-            val n = ps.byEpoch.remove(e).map(_.size).getOrElse(0)
-            st.stored -= n
-            metrics.storedNow -= n
-          }
+          val n = ps.byEpoch.evict(params.epochLen, cut)
+          st.stored -= n
+          metrics.storedNow -= n
         }
       }
     }
@@ -740,8 +788,4 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     }
     metrics
   }
-}
-
-private object EventSim {
-  val emptyBuf: mutable.ArrayBuffer[Row] = mutable.ArrayBuffer.empty
 }

@@ -42,7 +42,8 @@ private[sim] final class Row(val vals: Array[Long], val tss: Array[Double], val 
   * to the partition `hash(prefix(routeSlot))` of store `target`, or broadcast
   * to all its partitions when `routeSlot < 0`. Each prefix row is matched
   * with candidates on the slot pairs `target(probeTarget(i)) =
-  * prefix(probePrefix(i))`. A match is gathered into the output layout:
+  * prefix(probePrefix(i))`; there is at least one pair, and the store is
+  * indexed on the first. A match is gathered into the output layout:
   * output value slot `i` is `prefix.vals(valSrc(i))` when `valSrc(i) >= 0`
   * and `cand.vals(~valSrc(i))` otherwise; timestamps likewise via `tsSrc`.
   * `sentSlot` is the node's slot in `Metrics`' sent counters, and `emits` are
@@ -114,6 +115,7 @@ private[sim] object PhysicalPlan {
       val pairs = step.probePreds.toVector.map { p =>
         if (step.target.relSet(p.x.rel)) (p.x, p.y) else (p.y, p.x)
       }
+      require(pairs.nonEmpty, s"cross-product probe at node $id")
       // ≥ 0: a prefix slot; < 0: the complement of a target slot
       def valSrc(a: Attr) = if (prefix.rels.contains(a.rel)) prefix.slot(a) else ~target.slot(a)
       def tsSrc(r: String) = if (prefix.rels.contains(r)) prefix.tsSlot(r) else ~target.tsSlot(r)

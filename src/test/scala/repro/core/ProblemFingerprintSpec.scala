@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.data.{Artificial, Fig9Env}
+import repro.data.{Artificial, Fig9Env, StreamData}
 import scala.util.hashing.MurmurHash3
 
 /** Golden fingerprint of `MqoProblem.build`: the variable and probe-order
@@ -24,6 +24,22 @@ class ProblemFingerprintSpec extends AnyFunSuite {
       Print(MqoProblem.build(qs, Fig9Env.catalog(nRels), Fig9Env.stats(nRels)))
     }
     shapes.indices.foreach(i => assert(got(i) == Fig9(i), s"shape ${shapes(i)}: got ${got(i)}"))
+  }
+
+  test("the mq_shared shape builds the same problem") {
+    val qs = Fig9Env.randomQueries(10, 30, 3, 2021L)
+    assert(qs.size == 30)
+    val got = Print(MqoProblem.build(qs, Fig9Env.catalog(10), Fig9Env.stats(10)))
+    assert(got == MqShared, s"mq_shared: got $got")
+  }
+
+  test("the Fig 7 TPC-H-lite workload builds the same problem") {
+    // Fig 7's relations have different cardinalities, so the bits of each
+    // cost also pin the order of the `joinCard` product.
+    val qs = StreamData.randomTpchQueries(10, Seq(3, 3, 4), window = 60.0, seed = 4242L)
+    assert(qs.size == 10)
+    val got = Print(MqoProblem.build(qs, StreamData.tpchCatalog(), StreamData.tpchStats(0.005, 60.0, 600.0)))
+    assert(got == Fig7, s"fig7: got $got")
   }
 
   test("the Fig 8b initial statistics build the same problem") {
@@ -81,4 +97,9 @@ object ProblemFingerprintSpec {
   )
 
   val Fig8b: Print = Print(152, 70, 82, 16, -1424276579, 1470081033)
+
+  // Recorded from the build that interned steps by their string keys.
+  val MqShared: Print = Print(3362, 1645, 1717, 162, -1082172918, 1764604116)
+
+  val Fig7: Print = Print(1834, 939, 895, 77, 1603727918, -1506366527)
 }

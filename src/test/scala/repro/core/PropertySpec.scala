@@ -156,7 +156,8 @@ class PropertySpec extends AnyFunSuite {
   }
 
   /** Built problems over the random queries (alone and in pairs, so MIR
-    * subqueries of several queries meet) and the Fig. 3 workload.
+    * subqueries of several queries meet), the Fig. 3 workload and a pair
+    * whose shared step follows steps that differ only in routing.
     */
   private def builtProblems: Seq[MqoProblem] = {
     val catalog = Catalog(relPool.map(r => r -> RelDef(r, attrPool, 3)).toMap, 3)
@@ -172,7 +173,17 @@ class PropertySpec extends AnyFunSuite {
     val fig3Catalog = Catalog.of(RelDef("R", Vector("b"), 3), RelDef("S", Vector("b", "c"), 3),
                                  RelDef("T", Vector("c", "d"), 3), RelDef("U", Vector("d"), 3))
     val fig3Stats = Stats(Map("R" -> 100.0, "S" -> 100.0, "T" -> 100.0, "U" -> 100.0), Map.empty, 0.01)
-    single ++ pairs :+ MqoProblem.build(fig3, fig3Catalog, fig3Stats)
+    // q2 extends q1 by U, whose R.c = U.c = S.b puts R.c in S.b's class: the
+    // step ⟨R → S[S.b]⟩ is routed only in q2, yet ⟨R, S[S.b]⟩ → T[T.b] has
+    // one key in both queries, reached from two parent steps.
+    val routedInOne = Seq(
+      Query("q1", Set("R", "S", "T"), Set(Pred.of("R", "a", "S", "a"), Pred.of("S", "b", "T", "b"))),
+      Query("q2", Set("R", "S", "T", "U"), Set(Pred.of("R", "a", "S", "a"), Pred.of("S", "b", "T", "b"),
+                                               Pred.of("R", "c", "U", "c"), Pred.of("U", "c", "S", "b"))))
+    val routedCatalog = Catalog.of(RelDef("R", Vector("a", "c"), 3), RelDef("S", Vector("a", "b"), 3),
+                                   RelDef("T", Vector("b"), 3), RelDef("U", Vector("c"), 3))
+    (single ++ pairs) ++ Seq(MqoProblem.build(fig3, fig3Catalog, fig3Stats),
+                             MqoProblem.build(routedInOne, routedCatalog, fig3Stats))
   }
 
   private def allCands(p: MqoProblem): Iterable[(SlotId, Cand)] =

@@ -25,11 +25,20 @@ object CostModel {
   /** Number of tuples sent by a step per window of input:
     * |⋈ prefix| · (1 / #covered relations) · χ(target).
     */
-  def stepCost(step: Step, stats: Stats, catalog: Catalog): Double = {
+  def stepCost(step: Step, stats: Stats, catalog: Catalog): Double =
+    stepCost(step, lastArrived(step, stats), catalog)
+
+  /** |⋈ prefix| · (1 / #covered relations): the tuples of the step's prefix
+    * join whose start tuple arrived last, before the broadcast factor.
+    */
+  def lastArrived(step: Step, stats: Stats): Double = {
     val covered = step.coveredRels
-    val prefixCard = stats.joinCard(covered, step.sub.inducedPreds(covered))
-    prefixCard / covered.size * chi(step, catalog)
+    stats.joinCard(covered, step.sub.inducedPreds(covered)) / covered.size
   }
+
+  /** `stepCost` of a step whose prefix sends `lastArrived` tuples per window. */
+  def stepCost(step: Step, lastArrived: Double, catalog: Catalog): Double =
+    lastArrived * chi(step, catalog)
 
   /** Key of the step that inserts the results of the maintenance orders of
     * MIR `mirKey` starting at `start` into the MIR's store.

@@ -6,6 +6,8 @@ import scala.collection.mutable
 final case class Attr(rel: String, name: String) {
   /** Fully qualified name used in keys and display. */
   lazy val full: String = s"$rel.$name"
+  // computed once: attributes key the subqueries' equality classes
+  override val hashCode: Int = scala.util.hashing.MurmurHash3.productHash(this)
   override def toString: String = full
 }
 
@@ -130,8 +132,14 @@ final case class Stats(card: Map[String, Double], sel: Map[Pred, Double], defaul
   def selOf(p: Pred): Double = sel.getOrElse(p, defaultSel)
 
   /** Estimated cardinality of the join of `rs` under `preds`
-    * (independence assumption: product of cards × product of selectivities).
+    * (independence assumption: product of cards × product of selectivities,
+    * each multiplied in iteration order).
     */
-  def joinCard(rs: Set[String], preds: Set[Pred]): Double =
-    rs.toSeq.map(cardOf).product * preds.toSeq.map(selOf).product
+  def joinCard(rs: Set[String], preds: Set[Pred]): Double = {
+    var cards = 1.0
+    rs.foreach(r => cards *= cardOf(r))
+    var sels = 1.0
+    preds.foreach(p => sels *= selOf(p))
+    cards * sels
+  }
 }

@@ -62,7 +62,7 @@ object Solver {
 
   /** Depth-first search state over the numbered problem. */
   private final class Search(p: MqoProblem, nodeBudget: Long) {
-    private val stepRef = new Array[Int](p.stepKeys.length)
+    private val stepRef = new Array[Int](p.stepCosts.length)
     private var curCost = 0.0
     private val choice = Array.fill(p.slots.length)(-1) // candidate index, -1 when unassigned
     private var nodes = 0L
@@ -298,7 +298,7 @@ object Solver {
       val chosen = bestChoice.indices.filter(bestChoice(_) >= 0)
       Solution(
         choice = chosen.map(s => p.slots(s) -> bestChoice(s)).toMap,
-        steps = chosen.flatMap(s => p.cands(s)(bestChoice(s)).stepIds).map(p.stepKeys).toSet,
+        steps = chosen.flatMap(s => p.cands(s)(bestChoice(s)).stepIds).map(p.stepKey).toSet,
         cost = bestCost,
         optimal = exhausted,
         nodes = nodes,

@@ -674,7 +674,7 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
       var j = 0
       while (j < ingest.length) {
         val sid = ingest(j)
-        if (k == first || !(first until k).exists(schedule(_).plan.ingest(rel).contains(sid))) {
+        if (!ingestedBefore(first, k, rel, sid)) {
           enqueue(t.ts + params.net, new StoreEv(sid, stores(sid).partitionOf(single), e0, single))
           metrics.storeMsgs += 1
         }
@@ -706,6 +706,21 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
       k += 1
     }
     if (rootMsgs > 0) pendingProbes(srcId) = rootMsgs
+  }
+
+  /** True when an entry in `first until k` stores relation `rel`'s tuples into store `sid`. */
+  private def ingestedBefore(first: Int, k: Int, rel: Int, sid: Int): Boolean = {
+    var i = first
+    while (i < k) {
+      val ingest = schedule(i).plan.ingest(rel)
+      var j = 0
+      while (j < ingest.length) {
+        if (ingest(j) == sid) return true
+        j += 1
+      }
+      i += 1
+    }
+    false
   }
 
   // ---- eviction / gc ---------------------------------------------------------

@@ -60,11 +60,6 @@ final case class Query(name: String, relations: Set[String], predicates: Set[Pre
 
   /** Predicates of this query whose both sides lie within `rs`. */
   def inducedPreds(rs: Set[String]): Set[Pred] = predicates.filter(_.within(rs))
-
-  /** True when the join graph restricted to `rs` is connected (no cross product). */
-  def connected(rs: Set[String]): Boolean = AttrEq.connectedRels(rs, inducedPreds(rs))
-
-  def isConnected: Boolean = connected(relations)
 }
 
 /** Transitive closure of attribute equality, used for routing feasibility (χ). */
@@ -82,10 +77,6 @@ object AttrEq {
       val s = as.toSet; s.map(_ -> s)
     }
   }
-
-  /** The equivalence class of `a` under `preds` (at least `{a}`). */
-  def classOf(preds: Set[Pred], a: Attr): Set[Attr] =
-    classes(preds).getOrElse(a, Set(a))
 
   /** Connectivity of a relation set under a predicate set (join-graph BFS). */
   def connectedRels(rels: Set[String], preds: Set[Pred]): Boolean = {
@@ -107,9 +98,7 @@ object AttrEq {
 }
 
 /** Definition of a streamed input relation. */
-final case class RelDef(name: String, attrs: Vector[String], parallelism: Int = 5) {
-  def attr(a: String): Attr = Attr(name, a)
-}
+final case class RelDef(name: String, attrs: Vector[String], parallelism: Int = 5)
 
 /** Schema + physical configuration of the deployment. */
 final case class Catalog(rels: Map[String, RelDef], mirParallelism: Int = 5) {

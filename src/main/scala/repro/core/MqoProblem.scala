@@ -56,7 +56,7 @@ final case class InsertStep(slot: MirSlot, sub: Subquery) {
   *    built only when asked for. Only `stats` and `stepCosts` depend on the
   *    statistics; `repriced` prices the same tables under new ones.
   * Each candidate carries its step and MIR ids. `querySlots`, `slotCands`,
-  * `mirSlots`, `stepKeys` and `stepCost` are views of these tables.
+  * `mirSlots` and `stepCost` are views of these tables.
   */
 final case class MqoProblem(
     queries: Vector[Query],
@@ -84,9 +84,6 @@ final case class MqoProblem(
 
   /** The key of step id `i`. */
   def stepKey(i: Int): StepKey = stepReps(i).fold(_.key, _.key)
-
-  /** Every step id's key, in id order. */
-  lazy val stepKeys: Array[StepKey] = Array.tabulate(stepReps.length)(stepKey)
 
   /** The pricing pass: the same problem with each step id priced under `st`,
     * from its representative. A probe step's prefix join is evaluated once
@@ -124,7 +121,7 @@ final case class MqoProblem(
   }
 
   /** Shared step cost table, keyed by step. */
-  lazy val stepCost: Map[StepKey, Double] = stepKeys.indices.map(i => stepKeys(i) -> stepCosts(i)).toMap
+  lazy val stepCost: Map[StepKey, Double] = stepCosts.indices.map(i => stepKey(i) -> stepCosts(i)).toMap
 
   /** ILP x-variables: one per (slot, candidate). */
   lazy val numXVars: Int = cands.iterator.map(_.size).sum

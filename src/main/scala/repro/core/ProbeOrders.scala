@@ -11,9 +11,6 @@ import scala.collection.mutable
 final case class ProbeOrder(sub: Subquery, start: String, elems: Vector[Mir]) {
   require(elems.nonEmpty && elems.head == Mir.base(start), "first element must be the start relation")
 
-  /** Relations covered by elements 0..t (inclusive). */
-  def coveredAfter(t: Int): Set[String] = elems.take(t + 1).flatMap(_.relations).toSet
-
   /** Non-base MIRs this probe order relies on (they must be maintained). */
   def mirsUsed: Set[Mir] = elems.filterNot(_.isBase).toSet
 
@@ -32,13 +29,11 @@ final case class Decorated(po: ProbeOrder, parts: Vector[Option[Attr]]) {
   def stores: Vector[StoreRef] =
     po.elems.tail.zip(parts).map { case (m, p) => StoreRef(m, p) }
 
-  /** The t-th step (1-based, t = 1..k-1): the decorated prefix of length t+1.
-    * Per Section V, a step is identified with its probe-order prefix; equal
-    * steps in different queries' candidates share an ILP variable.
+  /** The steps in order, each extending the one before it: step t (0-based)
+    * is the decorated prefix of length t+2. Per Section V, a step is
+    * identified with its probe-order prefix; equal steps in different
+    * queries' candidates share an ILP variable.
     */
-  def step(t: Int): Step = steps(t - 1)
-
-  /** The steps in order, each extending the one before it. */
   def steps: Vector[Step] =
     if (po.elems.size < 2) Vector.empty
     else (2 until po.elems.size).scanLeft(Step.first(po.sub, po.elems.head, po.elems(1), parts(0))) {
@@ -140,29 +135,19 @@ final case class StepKey(prefix: Vector[String], target: String, preds: String, 
   */
 object ProbeOrders {
 
-  /** Algorithm 1: all candidate probe orders of `sub` over the usable MIRs,
-    * for every starting relation, avoiding cross products (each appended MIR
-    * must be joined with the head by at least one predicate of `sub`).
+  /** Algorithm 1: the candidate probe orders of `sub` from `start` over the
+    * usable MIRs of `mirs`, avoiding cross products (each appended MIR must be
+    * joined with the covered relations by at least one predicate of `sub`).
     */
-  def candidates(sub: Subquery, mirs: Set[Mir]): Vector[ProbeOrder] = {
-    val u = new Usable(sub, mirs)
-    sub.relations.toVector.sorted.flatMap(u.ordersFrom(_).map(_._1))
-  }
-
   def candidatesFrom(sub: Subquery, mirs: Set[Mir], start: String): Vector[ProbeOrder] =
     new Usable(sub, mirs).ordersFrom(start).map(_._1)
 
-  /** Partitioning candidates of a store (Section V): every attribute of the
-    * MIR's relations that appears, in *any* query of the workload, in a join
-    * predicate with a relation outside the MIR. (Fig. 3 offers T[d] even in
-    * probe orders for q1, where only q2 joins on d.)
-    */
-  def partitionCandidates(m: Mir, workload: Seq[Query]): Vector[Attr] =
-    partitionCandidates(Vector(m), workload).head
-
-  /** The partitioning candidates of each of `mirs`, in one pass over the
-    * workload's predicates: per MIR, the attributes in order of first
-    * appearance, then sorted by name.
+  /** Partitioning candidates of each store of `mirs` (Section V): every
+    * attribute of the MIR's relations that appears, in *any* query of the
+    * workload, in a join predicate with a relation outside the MIR. (Fig. 3
+    * offers T[d] even in probe orders for q1, where only q2 joins on d.)
+    * One pass over the workload's predicates; per MIR, the attributes in
+    * order of first appearance, then sorted by name.
     */
   def partitionCandidates(mirs: Vector[Mir], workload: Seq[Query]): Vector[Vector[Attr]] = {
     val byRel = mirs.indices.flatMap(i => mirs(i).relations.map(_ -> i)).groupMap(_._1)(_._2)
@@ -177,12 +162,6 @@ object ProbeOrders {
     */
   def partOptions(cs: Vector[Attr]): Vector[Option[Attr]] =
     if (cs.isEmpty) Vector(Option.empty[Attr]) else cs.map(Option(_))
-
-  /** Apply partitioning: every combination of partitioning candidates over the
-    * probed elements. Stores with no candidate get `None` (random/broadcast).
-    */
-  def decorate(po: ProbeOrder, partsOf: Mir => Vector[Attr]): Vector[Decorated] =
-    decorations(po, po.elems.tail.map(m => partOptions(partsOf(m)))).map(_._1)
 
   /** Every decoration of `po` given each probed element's options, the last
     * element varying fastest, with the index of each chosen option.

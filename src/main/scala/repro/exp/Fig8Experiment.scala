@@ -65,7 +65,8 @@ object Fig8Experiment {
 
   /** Fig 8a: equal rates; at t=15s the S⋈R selectivity explodes while S⋈T
     * drops to zero. The static plan (probing R before T) overloads and fails
-    * on memory; the adaptive plan reroutes within ~a window.
+    * on memory; the adaptive run does not fail (its configurations are all
+    * installed before the shift, see EXPERIMENTS.md §8a).
     */
   def fig8a(rate: Double = 1000.0, duration: Double = 32.0, shiftAt: Double = 15.0,
             window: Double = 5.0, memLimit: Double = 250000.0): Timeline = {

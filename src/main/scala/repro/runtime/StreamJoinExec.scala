@@ -92,8 +92,8 @@ object StreamJoinExec {
   }
 
   /** Exact number of tuples sent by `step` (step t of a decorated probe order
-    * is `Decorated.step(t)`, 1-based) on this data: the count of partial
-    * results after joining the first t elements — restricted to
+    * is `Decorated.steps(t - 1)`, t = 1..k-1) on this data: the count of
+    * partial results after joining the first t elements — restricted to
     * start-latest-within-prefix and pairwise window — times the broadcast
     * factor χ. This is the ground truth the cost
     * model (Eq. 1) estimates and the event simulator must match exactly.
@@ -112,17 +112,20 @@ object StreamJoinExec {
     }
   }
 
-  /** A connected join order over the relations (BFS over the predicate graph). */
+  /** A connected join order over the relations (BFS over the predicate graph).
+    * A relation set the predicates do not connect has no such order: it is
+    * rejected, since joining it would need a cross product.
+    */
   def connectedOrder(rels: Set[String], preds: Set[Pred]): Vector[String] = {
     val sorted = rels.toVector.sorted
     var order = Vector(sorted.head)
     var remaining = rels - sorted.head
     while (remaining.nonEmpty) {
-      val next = remaining.toVector.sorted
-        .find(r => preds.exists(_.connects(order.toSet, Set(r))))
-        .getOrElse(remaining.toVector.sorted.head) // disconnected: cross product fallback
-      order :+= next
-      remaining -= next
+      val next = remaining.toVector.sorted.find(r => preds.exists(_.connects(order.toSet, Set(r))))
+      require(next.isDefined,
+              s"relations ${remaining.toVector.sorted.mkString(", ")} are not joined to ${order.mkString(", ")}")
+      order :+= next.get
+      remaining -= next.get
     }
     order
   }

@@ -49,10 +49,14 @@ final class EpochSamples(epochLen: Double, sampleSize: Int = 512) {
 
   /** Estimate Stats from epoch data: per-window cardinality = rate × window,
     * and per-predicate selectivity as the match rate between the epoch's
-    * sample and the union of samples over the last window of epochs. Matching
-    * against the window-wide union (instead of epoch-local pairs) avoids
-    * overestimating selectivity for time-correlated keys. Returns None when a
-    * referenced relation has no sample in the epoch.
+    * sample and the union of samples over the last W = ⌈window / epochLen⌉
+    * epochs. Matching against the window-wide union (instead of epoch-local
+    * pairs) avoids overestimating selectivity for time-correlated keys, but
+    * only once the samples span the window, from epoch e ≥ W − 1 on. Before
+    * that the union holds only e + 1 epochs' samples, so for a time-local
+    * join the same matches are divided by a smaller sample and the estimate
+    * runs about W / (e + 1) times too high. Returns None when a referenced
+    * relation has no sample in the epoch.
     */
   def estimate(epoch: Long, queries: Seq[Query], window: Double): Option[Stats] = {
     val d = epochs.get(epoch).getOrElse(return None)

@@ -306,7 +306,7 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
 
   private def governingRange(lo: Long, hi: Long): Range = { governing(lo, hi); govStart until govEnd }
 
-  def configFor(e: Long): Option[Topology] = governingRange(e, e).headOption.map(schedule(_).plan.topo)
+  private[sim] def configFor(e: Long): Option[Topology] = governingRange(e, e).headOption.map(schedule(_).plan.topo)
 
   /** Store instances maintained by *every* configuration governing the epoch
     * range — i.e. instances whose per-epoch content is complete over it.
@@ -356,7 +356,7 @@ final class EventSim(val catalog: Catalog, val params: SimParams, recordResults:
     if (stores(id) == null) stores(id) = new StoreInst(dfn)
   }
 
-  def activeStoreKeys: Set[String] = stores.iterator.filter(_ != null).map(_.dfn.key).toSet
+  private[sim] def activeStoreKeys: Set[String] = stores.iterator.filter(_ != null).map(_.dfn.key).toSet
 
   // ---- events --------------------------------------------------------------
   /** A message to partition `part` of store `store`; at equal times, messages

@@ -57,12 +57,4 @@ class SynthDataSpec extends SparkSpec {
     assert(li.intersect(o).nonEmpty, "high-selectivity join must produce matches")
   }
 
-  test("zipf keys are skewed, uniform keys are not") {
-    val z = SynthData.zipfKeys(spark, 20000, 1000, alpha = 1.2)
-    val u = SynthData.uniformKeys(spark, 20000, 1000)
-    def topShare(df: org.apache.spark.sql.DataFrame): Double =
-      df.groupBy("k").count().orderBy(desc("count")).limit(1)
-        .head.getLong(1).toDouble / 20000.0
-    assert(topShare(z) > 3 * topShare(u), "zipf head should dominate")
-  }
 }

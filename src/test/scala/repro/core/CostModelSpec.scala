@@ -29,22 +29,22 @@ class CostModelSpec extends AnyFunSuite {
   private def order(q: Query, rels: String*): Decorated = {
     val sub = Subquery.ofQuery(q)
     val po = ProbeOrder(sub, rels.head, rels.toVector.map(Mir.base))
-    ProbeOrders.decorate(po, m => ProbeOrders.partitionCandidates(m, Vector(q1, q2))).head
+    Decorate(po, Vector(q1, q2)).head
   }
 
   test("first step costs the arrival rate") {
     val d = order(q1, "S", "R", "T")
-    assert(CostModel.stepCost(d.step(1), stats, catalog) === 100.0)
+    assert(CostModel.stepCost(d.steps(0), stats, catalog) === 100.0)
   }
 
   test("S⋈R step costs 50 (|S⋈R| = 100, fraction 1/2)") {
     val d = order(q1, "S", "R", "T")
-    assert(CostModel.stepCost(d.step(2), stats, catalog) === 50.0)
+    assert(CostModel.stepCost(d.steps(1), stats, catalog) === 50.0)
   }
 
   test("S⋈T step costs 75 (|S⋈T| = 150, fraction 1/2)") {
     val d = order(q1, "S", "T", "R")
-    assert(CostModel.stepCost(d.step(2), stats, catalog) === 75.0)
+    assert(CostModel.stepCost(d.steps(1), stats, catalog) === 75.0)
   }
 
   test("paper order costs: <S,R,T> = 150, <S,T,R> = 175") {
@@ -59,9 +59,9 @@ class CostModelSpec extends AnyFunSuite {
                       Pred.of("T", "c", "U", "c")))
     val sub = Subquery.ofQuery(q)
     val po = ProbeOrder(sub, "R", Vector("R", "S", "T", "U").map(Mir.base))
-    val d = ProbeOrders.decorate(po, m => ProbeOrders.partitionCandidates(m, Vector(q))).head
+    val d = Decorate(po, Vector(q)).head
     // |R⋈S⋈T| = 100³ * 0.01 * 0.015 = 150; step 3 sends 150/3 = 50
-    assert(CostModel.stepCost(d.step(3), stats, catalog) === 50.0)
+    assert(CostModel.stepCost(d.steps(2), stats, catalog) === 50.0)
   }
 
   test("broadcast multiplies by the target parallelism") {
@@ -69,13 +69,13 @@ class CostModelSpec extends AnyFunSuite {
     val ds = {
       val sub = Subquery.ofQuery(q1)
       val po = ProbeOrder(sub, "R", Vector("R", "S", "T").map(Mir.base))
-      ProbeOrders.decorate(po, m => ProbeOrders.partitionCandidates(m, Vector(q1, q2)))
+      Decorate(po, Vector(q1, q2))
     }
     // S partitioned by S.a: R.a routes it (χ=1); by S.b: broadcast (χ=5)
     val routed = ds.find(_.parts(0).contains(Attr("S", "a"))).get
     val bcast = ds.find(_.parts(0).contains(Attr("S", "b"))).get
-    assert(CostModel.stepCost(routed.step(1), stats, cat5) === 100.0)
-    assert(CostModel.stepCost(bcast.step(1), stats, cat5) === 500.0)
+    assert(CostModel.stepCost(routed.steps(0), stats, cat5) === 100.0)
+    assert(CostModel.stepCost(bcast.steps(0), stats, cat5) === 500.0)
   }
 
   test("individually optimized q1 sends 475 tuples") {

@@ -5,5 +5,5 @@ package repro.core
   */
 object Costed {
   def apply(p: MqoProblem, c: Cand): Vector[(StepKey, Double)] =
-    c.stepIds.toVector.map(i => p.stepKeys(i) -> p.stepCosts(i))
+    c.stepIds.toVector.map(i => p.stepKey(i) -> p.stepCosts(i))
 }

@@ -24,8 +24,8 @@ object IlpBuilder {
                            yVar: Map[StepKey, String])
 
   def encode(p: MqoProblem): Encoded = {
-    val stepKeys = p.stepCost.keys.toVector.sortBy(k => (k.prefix.mkString(";"), k.target, k.preds, k.routed))
-    val yVar: Map[StepKey, String] = stepKeys.zipWithIndex.map { case (k, i) => k -> s"y:$i" }.toMap
+    val keys = p.stepCost.keys.toVector.sortBy(k => (k.prefix.mkString(";"), k.target, k.preds, k.routed))
+    val yVar: Map[StepKey, String] = keys.zipWithIndex.map { case (k, i) => k -> s"y:$i" }.toMap
 
     val slotsOrdered: Vector[SlotId] =
       p.querySlots ++ p.mirSlots.toVector.sortBy(_._1).flatMap(_._2)
@@ -60,8 +60,8 @@ object IlpBuilder {
         constraints += Constraint(Term(-cost, x) +: stepTerms, Ge, 0.0, s"cost:${sid.key}#$i")
     }
 
-    val objective = stepKeys.map(k => Term(p.stepCost(k), yVar(k)))
-    val vars = xVar.values.toVector.sorted ++ stepKeys.map(yVar)
+    val objective = keys.map(k => Term(p.stepCost(k), yVar(k)))
+    val vars = xVar.values.toVector.sorted ++ keys.map(yVar)
     Encoded(Ilp(vars, constraints.result(), objective), xVar, yVar)
   }
 }

@@ -126,7 +126,7 @@ class PlannerSpec extends AnyFunSuite {
       assert(math.abs(priced - cost) <= 1e-9 * cost)
       planned.problem.slotCands.foreach {
         case (MirSlot(mk, start), cands) =>
-          cands.foreach(c => assert(planned.problem.stepKeys(c.stepIds.last) == CostModel.insertKey(mk, start)))
+          cands.foreach(c => assert(planned.problem.stepKey(c.stepIds.last) == CostModel.insertKey(mk, start)))
         case _ =>
       }
     }

@@ -16,6 +16,14 @@ class ProbeOrderSpec extends AnyFunSuite {
   private val mirs1 = Mir.enumerate(q1)
   private val mirs2 = Mir.enumerate(q2)
 
+  /** The partitioning candidates of `m` in `wl`, by the batch call `MqoProblem.build` makes. */
+  private def parts(m: Mir, wl: Seq[Query] = workload): Vector[Attr] =
+    ProbeOrders.partitionCandidates(Vector(m), wl).head
+
+  /** Algorithm 1's candidates of `sub` from each of its relations. */
+  private def allOrders(sub: Subquery, mirs: Set[Mir]): Vector[ProbeOrder] =
+    sub.relations.toVector.sorted.flatMap(ProbeOrders.candidatesFrom(sub, mirs, _))
+
   private def labels(pos: Seq[ProbeOrder]): Set[String] =
     pos.map(_.elems.map(_.relations.mkString("")).mkString("<", ",", ">")).toSet
 
@@ -36,10 +44,10 @@ class ProbeOrderSpec extends AnyFunSuite {
   test("fig-3 maintenance probe orders for q_RS and q_TU") {
     val rs = Mir.of(q1, Set("R", "S"))
     val subRs = Subquery.ofMir(rs, 1.0)
-    assert(labels(ProbeOrders.candidates(subRs, mirs1)) == Set("<R,S>", "<S,R>"))
+    assert(labels(allOrders(subRs, mirs1)) == Set("<R,S>", "<S,R>"))
     val tu = Mir.of(q2, Set("T", "U"))
     val subTu = Subquery.ofMir(tu, 1.0)
-    assert(labels(ProbeOrders.candidates(subTu, mirs2)) == Set("<T,U>", "<U,T>"))
+    assert(labels(allOrders(subTu, mirs2)) == Set("<T,U>", "<U,T>"))
   }
 
   test("cross products are avoided: no order visits an unconnected store") {
@@ -51,27 +59,36 @@ class ProbeOrderSpec extends AnyFunSuite {
 
   test("fig-3 partitioning candidates: S by b or c, T by c or d, ST by b or d") {
     val s = Mir.base("S")
-    assert(ProbeOrders.partitionCandidates(s, workload).toSet ==
+    assert(parts(s).toSet ==
            Set(Attr("S", "b"), Attr("S", "c")))
     val t = Mir.base("T")
-    assert(ProbeOrders.partitionCandidates(t, workload).toSet ==
+    assert(parts(t).toSet ==
            Set(Attr("T", "c"), Attr("T", "d")))
     val st = Mir.of(q1, Set("S", "T"))
-    assert(ProbeOrders.partitionCandidates(st, workload).toSet ==
+    assert(parts(st).toSet ==
            Set(Attr("S", "b"), Attr("T", "d")))
+  }
+
+  test("one batch call gives MIRs that share relations their own fig-3 candidates") {
+    // S, T and ST share both relations; each keeps only the attributes that
+    // join outside itself (S.c and T.c join within ST)
+    val batch = ProbeOrders.partitionCandidates(
+      Vector(Mir.base("S"), Mir.base("T"), Mir.of(q1, Set("S", "T"))), workload)
+    assert(batch == Vector(Vector(Attr("S", "b"), Attr("S", "c")),
+                           Vector(Attr("T", "c"), Attr("T", "d")),
+                           Vector(Attr("S", "b"), Attr("T", "d"))))
   }
 
   test("partitioning on a materialized prefix attribute is excluded") {
     // For (R(b), S(b,c)) materialized, b is internal (only joins within) — for
     // workload {q1} alone, RS can only be partitioned by c (the join with T).
     val rs = Mir.of(q1, Set("R", "S"))
-    assert(ProbeOrders.partitionCandidates(rs, Vector(q1)).toSet == Set(Attr("S", "c")))
+    assert(parts(rs, Vector(q1)).toSet == Set(Attr("S", "c")))
   }
 
   test("fig-3 q1/R decorated probe orders: 4 iterative + 2 via ST = 6") {
     val sub = Subquery.ofQuery(q1)
-    def parts(m: Mir) = ProbeOrders.partitionCandidates(m, workload)
-    val ds = ProbeOrders.candidatesFrom(sub, mirs1, "R").flatMap(ProbeOrders.decorate(_, parts))
+    val ds = ProbeOrders.candidatesFrom(sub, mirs1, "R").flatMap(Decorate(_, workload))
     assert(ds.size == 6)
     val viaSt = ds.filter(_.po.elems.exists(m => !m.isBase))
     assert(viaSt.size == 2) // ST[S.b], ST[T.d]
@@ -79,9 +96,8 @@ class ProbeOrderSpec extends AnyFunSuite {
 
   test("steps of a decorated order are its prefixes") {
     val sub = Subquery.ofQuery(q1)
-    def parts(m: Mir) = ProbeOrders.partitionCandidates(m, workload)
     val d = ProbeOrders.candidatesFrom(sub, mirs1, "R")
-      .flatMap(ProbeOrders.decorate(_, parts))
+      .flatMap(Decorate(_, workload))
       .find(_.po.elems.map(_.label) == Vector("R", "S", "T")).get
     assert(d.steps.size == 2)
     assert(d.steps(0).coveredRels == Set("R"))
@@ -92,8 +108,7 @@ class ProbeOrderSpec extends AnyFunSuite {
 
   test("equal prefixes share step identity (sigma7 in fig-3)") {
     val sub = Subquery.ofQuery(q1)
-    def parts(m: Mir) = ProbeOrders.partitionCandidates(m, workload)
-    val ds = ProbeOrders.candidatesFrom(sub, mirs1, "R").flatMap(ProbeOrders.decorate(_, parts))
+    val ds = ProbeOrders.candidatesFrom(sub, mirs1, "R").flatMap(Decorate(_, workload))
     val iterative = ds.filter(_.po.elems.forall(_.isBase))
     // group by the S-partitioning of the first step: same S[p] -> same first step key
     val byFirst = iterative.groupBy(_.steps.head.key)
@@ -103,19 +118,17 @@ class ProbeOrderSpec extends AnyFunSuite {
 
   test("different partitioning means different step identity (sigma7 vs sigma8)") {
     val sub = Subquery.ofQuery(q1)
-    def parts(m: Mir) = ProbeOrders.partitionCandidates(m, workload)
-    val ds = ProbeOrders.candidatesFrom(sub, mirs1, "R").flatMap(ProbeOrders.decorate(_, parts))
+    val ds = ProbeOrders.candidatesFrom(sub, mirs1, "R").flatMap(Decorate(_, workload))
     val keys = ds.filter(_.po.elems.forall(_.isBase)).map(_.steps.head.key).toSet
     assert(keys.size == 2)
   }
 
   test("steps shared across queries: <S,T[c]> of q1 equals <S,T[c]> of q2") {
-    def parts(m: Mir) = ProbeOrders.partitionCandidates(m, workload)
     val d1 = ProbeOrders.candidatesFrom(Subquery.ofQuery(q1), mirs1, "S")
-      .flatMap(ProbeOrders.decorate(_, parts))
+      .flatMap(Decorate(_, workload))
       .filter(d => d.po.elems(1) == Mir.base("T") && d.parts(0).contains(Attr("T", "c")))
     val d2 = ProbeOrders.candidatesFrom(Subquery.ofQuery(q2), mirs2, "S")
-      .flatMap(ProbeOrders.decorate(_, parts))
+      .flatMap(Decorate(_, workload))
       .filter(d => d.po.elems(1) == Mir.base("T") && d.parts(0).contains(Attr("T", "c")))
     assert(d1.nonEmpty && d2.nonEmpty)
     assert(d1.head.steps.head.key == d2.head.steps.head.key)
@@ -123,8 +136,7 @@ class ProbeOrderSpec extends AnyFunSuite {
 
   test("routing feasibility: routed when partition attribute is derivable") {
     val sub = Subquery.ofQuery(q1)
-    def parts(m: Mir) = ProbeOrders.partitionCandidates(m, workload)
-    val ds = ProbeOrders.candidatesFrom(sub, mirs1, "R").flatMap(ProbeOrders.decorate(_, parts))
+    val ds = ProbeOrders.candidatesFrom(sub, mirs1, "R").flatMap(Decorate(_, workload))
     // <R, S[b], ...>: R.b = S.b -> routed; <R, S[c], ...>: c unknown at R -> broadcast
     val sb = ds.find(d => d.parts(0).contains(Attr("S", "b"))).get.steps.head
     val sc = ds.find(d => d.parts(0).contains(Attr("S", "c"))).get.steps.head
@@ -144,8 +156,7 @@ class ProbeOrderSpec extends AnyFunSuite {
 
   test("broadcast probe order <R,S[b],T[d]> exists for q1 (fig-3 sigma3)") {
     val sub = Subquery.ofQuery(q1)
-    def parts(m: Mir) = ProbeOrders.partitionCandidates(m, workload)
-    val ds = ProbeOrders.candidatesFrom(sub, mirs1, "R").flatMap(ProbeOrders.decorate(_, parts))
+    val ds = ProbeOrders.candidatesFrom(sub, mirs1, "R").flatMap(Decorate(_, workload))
     val sigma3 = ds.find(d =>
       d.po.elems.forall(_.isBase) &&
       d.parts == Vector(Some(Attr("S", "b")), Some(Attr("T", "d"))))
@@ -155,8 +166,7 @@ class ProbeOrderSpec extends AnyFunSuite {
 
   test("mirsUsed reports non-base elements") {
     val sub = Subquery.ofQuery(q1)
-    def parts(m: Mir) = ProbeOrders.partitionCandidates(m, workload)
-    val ds = ProbeOrders.candidatesFrom(sub, mirs1, "R").flatMap(ProbeOrders.decorate(_, parts))
+    val ds = ProbeOrders.candidatesFrom(sub, mirs1, "R").flatMap(Decorate(_, workload))
     val viaSt = ds.find(!_.mirsUsed.isEmpty).get
     assert(viaSt.mirsUsed.map(_.relations.mkString("")) == Set("ST"))
   }

@@ -61,8 +61,10 @@ class PropertySpec extends AnyFunSuite {
           val all = po.elems.flatMap(_.relations)
           assert(all.toSet == q.relations && all.size == q.relations.size,
                  s"elements must partition the query: $po")
-          for (t <- 1 until po.elems.size)
-            assert(q.predicates.exists(_.connects(po.coveredAfter(t - 1), po.elems(t).relSet)))
+          for (t <- 1 until po.elems.size) {
+            val covered = po.elems.take(t).flatMap(_.relations).toSet
+            assert(q.predicates.exists(_.connects(covered, po.elems(t).relSet)))
+          }
         }
       }
     }
@@ -72,11 +74,10 @@ class PropertySpec extends AnyFunSuite {
     cases.foreach { q =>
       val sub = Subquery.ofQuery(q)
       val mirs = Mir.enumerate(q)
-      def parts(m: Mir) = ProbeOrders.partitionCandidates(m, Vector(q))
       for {
         start <- q.relations.toVector.sorted.take(2)
         po <- ProbeOrders.candidatesFrom(sub, mirs, start).take(3)
-        d <- ProbeOrders.decorate(po, parts).take(3)
+        d <- Decorate(po, Vector(q)).take(3)
       } {
         val steps = d.steps
         assert(steps.size == po.elems.size - 1)
@@ -96,11 +97,10 @@ class PropertySpec extends AnyFunSuite {
     cases.foreach { q =>
       val sub = Subquery.ofQuery(q)
       val mirs = Mir.enumerate(q)
-      def parts(m: Mir) = ProbeOrders.partitionCandidates(m, Vector(q))
       for {
         start <- q.relations.toVector.sorted.take(1)
         po <- ProbeOrders.candidatesFrom(sub, mirs, start).take(4)
-        d <- ProbeOrders.decorate(po, parts).take(4)
+        d <- Decorate(po, Vector(q)).take(4)
         s <- d.steps
       } {
         val chi = CostModel.chi(s, catalog)
@@ -194,7 +194,7 @@ class PropertySpec extends AnyFunSuite {
       allCands(p).foreach { case (_, c) =>
         c.steps.foreach { s =>
           val covered = s.prefixElems.flatMap(_.relations).toSet
-          val expected = s.targetPart.flatMap(a => AttrEq.classOf(s.sub.predicates, a).find(b => covered(b.rel)))
+          val expected = s.targetPart.flatMap(a => AttrEq.classes(s.sub.predicates).getOrElse(a, Set(a)).find(b => covered(b.rel)))
           assert(s.routeAttr == expected, s"$s in ${s.sub}")
         }
       }
@@ -215,7 +215,7 @@ class PropertySpec extends AnyFunSuite {
           assert(c.d.po.start == p.slots(s).start, s"slot $s: $c")
           p.slots(s) match {
             case MirSlot(mk, start) =>
-              assert(p.stepKeys(c.stepIds.last) == CostModel.insertKey(mk, start), s"slot $s: $c")
+              assert(p.stepKey(c.stepIds.last) == CostModel.insertKey(mk, start), s"slot $s: $c")
             case _: QuerySlot       =>
           }
         }
@@ -248,7 +248,7 @@ class PropertySpec extends AnyFunSuite {
         assert(c.steps == c.d.steps, s"$sid: $c")
         c.stepIds.indices.foreach { j =>
           val id = c.stepIds(j)
-          val k = p.stepKeys(id)
+          val k = p.stepKey(id)
           assert(idOf.getOrElseUpdate(k, id) == id, s"$sid: key $k has two ids")
           assert(p.stepCosts(id) == p.stepCost(k))
           if (j < c.steps.size) {
@@ -264,7 +264,8 @@ class PropertySpec extends AnyFunSuite {
           }
         }
       }
-      assert(idOf.size == p.stepKeys.length && p.stepKeys.distinct.length == p.stepKeys.length)
+      val keys = p.stepCosts.indices.map(p.stepKey)
+      assert(idOf.size == keys.length && keys.distinct.length == keys.length)
     }
   }
 
@@ -290,7 +291,7 @@ class PropertySpec extends AnyFunSuite {
       }
       assert(re.mirKeys.sameElements(fresh.mirKeys))
       assert(re.mirSlotIds.map(_.toVector).toVector == fresh.mirSlotIds.map(_.toVector).toVector)
-      assert(re.stepKeys.sameElements(fresh.stepKeys))
+      assert(re.stepCosts.indices.map(re.stepKey) == fresh.stepCosts.indices.map(fresh.stepKey))
       assert(bits(re.stepCosts) == bits(fresh.stepCosts), s"seed $s")
       val (x, y) = (repro.ilp.Solver.solve(re, 20000L), repro.ilp.Solver.solve(fresh, 20000L))
       assert(x == y && bits(Array(x.cost)) == bits(Array(y.cost)), s"seed $s")
@@ -303,7 +304,7 @@ class PropertySpec extends AnyFunSuite {
       case (m, part) => StoreRef(m, part).key
     }
     val covered = s.prefixElems.flatMap(_.relations).toSet
-    val routed = s.targetPart.exists(a => AttrEq.classOf(s.sub.predicates, a).exists(b => covered(b.rel)))
+    val routed = s.targetPart.exists(a => AttrEq.classes(s.sub.predicates).getOrElse(a, Set(a)).exists(b => covered(b.rel)))
     val preds = s.sub.predicates.filter(_.within(covered ++ s.target.relSet)).map(_.key).toSeq.sorted
     StepKey(prefix, StoreRef(s.target, s.targetPart).key, preds.mkString("&"), routed)
   }

@@ -82,7 +82,7 @@ class StreamDataSpec extends SparkSpec {
     assert(qs.map(q => (q.relations, q.predicates)).distinct.size == 10)
     qs.foreach { q =>
       assert(Seq(3, 4).contains(q.size))
-      assert(q.isConnected, q.toString)
+      assert(AttrEq.connectedRels(q.relations, q.predicates), q.toString)
     }
   }
 
@@ -98,7 +98,7 @@ class StreamDataSpec extends SparkSpec {
       assert(q.relations.contains("lineitem") && q.relations.contains("orders"))
       assert(q.predicates.exists(p => p != StreamData.tpchStatusPred &&
                                       p.rels == Set("lineitem", "orders")) ||
-             q.connected(q.relations))
+             AttrEq.connectedRels(q.relations, q.predicates))
     }
   }
 
@@ -139,7 +139,7 @@ class StreamDataSpec extends SparkSpec {
     val qs = Fig9Env.randomQueries(nRels = 10, nQ = 50, size = 3, seed = 17)
     assert(qs.size == 50)
     assert(qs.map(q => (q.relations, q.predicates)).distinct.size == 50)
-    qs.foreach(q => assert(q.size == 3 && q.isConnected))
+    qs.foreach(q => assert(q.size == 3 && AttrEq.connectedRels(q.relations, q.predicates)))
   }
 
   test("fig9 environment: selectivity defaults to rate⁻¹") {

@@ -84,24 +84,22 @@ class StreamJoinExecSpec extends SparkSpec {
 
   test("step sent counts: first step = |start| × χ") {
     val sub = Subquery.ofQuery(query)
-    def parts(m: Mir) = ProbeOrders.partitionCandidates(m, Vector(query))
     val d = ProbeOrders.candidatesFrom(sub, Mir.enumerate(query), "R")
       .filter(_.elems.forall(_.isBase))
-      .flatMap(ProbeOrders.decorate(_, parts))
+      .flatMap(Decorate(_, Vector(query)))
       .head
-    val chi = CostModel.chi(d.step(1), catalog).toLong
-    assert(StreamJoinExec.stepSentCount(d.step(1), dfs, catalog) == dfs("R").count() * chi)
+    val chi = CostModel.chi(d.steps(0), catalog).toLong
+    assert(StreamJoinExec.stepSentCount(d.steps(0), dfs, catalog) == dfs("R").count() * chi)
   }
 
   test("step sent counts decrease along a selective chain") {
     val sub = Subquery.ofQuery(query)
-    def parts(m: Mir) = ProbeOrders.partitionCandidates(m, Vector(query))
     val d = ProbeOrders.candidatesFrom(sub, Mir.enumerate(query), "R")
       .filter(_.elems.forall(_.isBase))
-      .flatMap(ProbeOrders.decorate(_, parts))
+      .flatMap(Decorate(_, Vector(query)))
       .filter(x => x.steps.forall(_.routed))
       .head
-    val counts = (1 until d.po.elems.size).map(t => StreamJoinExec.stepSentCount(d.step(t), dfs, catalog))
+    val counts = d.steps.map(StreamJoinExec.stepSentCount(_, dfs, catalog))
     // joins are 1:1 and "start latest" halves each extension
     assert(counts.head >= counts.last)
   }
@@ -134,5 +132,12 @@ class StreamJoinExecSpec extends SparkSpec {
     for (i <- 1 until order.size)
       assert(query.predicates.exists(_.connects(order.take(i).toSet, Set(order(i)))),
              s"$order breaks at $i")
+  }
+
+  test("connectedOrder rejects relations the predicates do not connect") {
+    // R joins only S, so neither T nor U can follow R without a cross product
+    val e = intercept[IllegalArgumentException](
+      StreamJoinExec.connectedOrder(Set("R", "T", "U"), query.predicates))
+    assert(e.getMessage.contains("relations T, U are not joined to R"), e.getMessage)
   }
 }

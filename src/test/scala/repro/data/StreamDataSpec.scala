@@ -1,10 +1,14 @@
 package repro.data
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 import repro.SparkSpec
 import repro.core._
+import scala.util.hashing.MurmurHash3
 
 class StreamDataSpec extends SparkSpec {
+  import StreamDataSpec._
 
   test("withTs assigns unique timestamps within a relation") {
     val df = StreamData.withTs(spark.range(500).toDF("v"), seed = 1, horizon = 100.0, relIdx = 0)
@@ -59,6 +63,16 @@ class StreamDataSpec extends SparkSpec {
       assert(dfs.contains(rel))
       assert(dfs(rel).columns.toSet == attrs.toSet + "ts")
     }
+  }
+
+  test("tpch streams keep their golden fingerprint") {
+    val parts = spark.sparkContext.defaultParallelism
+    val golden = TpchFingerprint.getOrElse(parts,
+      fail(s"no fingerprint recorded for $parts partitions; set SPARK_MASTER to local[1], local[2], local[4] or local[8]"))
+    val dfs = StreamData.tpchStreams(spark, sf = 0.001, horizon = 100.0)
+    val got = dfs.map { case (rel, df) => rel -> fingerprint(df) }
+    assert(got.keySet == golden.keySet)
+    golden.keys.toSeq.sorted.foreach(rel => assert(got(rel) == golden(rel), s"$rel: got ${got(rel)}"))
   }
 
   test("tpch predicates connect catalogued attributes") {
@@ -147,4 +161,64 @@ class StreamDataSpec extends SparkSpec {
     assert(st.selOf(Pred.of(Fig9Env.relName(0), "a", Fig9Env.relName(1), "b")) === 0.01)
     assert(st.cardOf(Fig9Env.relName(3)) === 100.0)
   }
+}
+
+object StreamDataSpec {
+
+  /** A stream's row count, an ordered hash of its rows, the sum of each key
+    * column, an ordered hash of each string column and the bits of the `ts`
+    * sum; the hashes and the sum follow `ts` order.
+    */
+  def fingerprint(df: DataFrame): String = {
+    val rows = df.orderBy("ts").collect()
+    df.schema.fields.zipWithIndex.map { case (f, i) =>
+      f.dataType match {
+        case LongType | IntegerType => s"${f.name} sum=${rows.map(_.getAs[Number](i).longValue).sum}"
+        case StringType => s"${f.name} hash=${MurmurHash3.orderedHash(rows.map(_.getString(i)))}"
+        case DoubleType =>
+          s"${f.name} sumBits=${java.lang.Double.doubleToLongBits(rows.map(_.getDouble(i)).sum)}"
+        case t => throw new IllegalArgumentException(s"no fingerprint for ${f.name}: $t")
+      }
+    }.mkString(s"${rows.length} rows hash=${MurmurHash3.orderedHash(rows.map(_.toString))}; ", "; ", "")
+  }
+
+  /** `tpchStreams(spark, sf = 0.001, horizon = 100.0)`, per relation, by the
+    * session's default parallelism: `spark.range` splits a table into that
+    * many partitions, and Spark seeds each `rand` per partition, so the
+    * generated values depend on the partition count as well as on the seeds.
+    */
+  val TpchFingerprint: Map[Int, Map[String, String]] = Map(
+    1 -> Map(
+      "customer" -> "150 rows hash=-1509427212; c_custkey sum=11325; c_nationkey sum=1691; ts sumBits=4664913376273048480",
+      "lineitem" -> "6000 rows hash=615037505; l_orderkey sum=4529496; l_partkey sum=602326; l_suppkey sum=33166; l_linestatus hash=-1196511542; ts sumBits=4688896714197009080",
+      "nation" -> "25 rows hash=895472032; n_nationkey sum=300; ts sumBits=4652992471273420568",
+      "orders" -> "1500 rows hash=2139772099; o_orderkey sum=1125750; o_custkey sum=111867; o_orderstatus hash=2097548869; ts sumBits=4679886937974981522",
+      "part" -> "200 rows hash=220303660; p_partkey sum=20100; ts sumBits=4666695684704136756",
+      "supplier" -> "10 rows hash=-390500133; s_suppkey sum=55; s_nationkey sum=141; ts sumBits=4646624099966573661",
+    ),
+    2 -> Map(
+      "customer" -> "150 rows hash=-1321936940; c_custkey sum=11325; c_nationkey sum=1901; ts sumBits=4664913376273048480",
+      "lineitem" -> "6000 rows hash=-1100018493; l_orderkey sum=4525903; l_partkey sum=600927; l_suppkey sum=32989; l_linestatus hash=1303246339; ts sumBits=4688896714197009080",
+      "nation" -> "25 rows hash=229971162; n_nationkey sum=300; ts sumBits=4652992471273420568",
+      "orders" -> "1500 rows hash=1118953079; o_orderkey sum=1125750; o_custkey sum=112443; o_orderstatus hash=1801606503; ts sumBits=4679886937974981522",
+      "part" -> "200 rows hash=-1128378808; p_partkey sum=20100; ts sumBits=4666695684704136756",
+      "supplier" -> "10 rows hash=1385722363; s_suppkey sum=55; s_nationkey sum=142; ts sumBits=4646624099966573661",
+    ),
+    4 -> Map(
+      "customer" -> "150 rows hash=1143561280; c_custkey sum=11325; c_nationkey sum=1799; ts sumBits=4664913376273048480",
+      "lineitem" -> "6000 rows hash=916200494; l_orderkey sum=4541125; l_partkey sum=605852; l_suppkey sum=32989; l_linestatus hash=253049674; ts sumBits=4688896714197009080",
+      "nation" -> "25 rows hash=380424294; n_nationkey sum=300; ts sumBits=4652992471273420568",
+      "orders" -> "1500 rows hash=-1399729415; o_orderkey sum=1125750; o_custkey sum=114019; o_orderstatus hash=1186950541; ts sumBits=4679886937974981522",
+      "part" -> "200 rows hash=1660931206; p_partkey sum=20100; ts sumBits=4666695684704136756",
+      "supplier" -> "10 rows hash=2001263694; s_suppkey sum=55; s_nationkey sum=114; ts sumBits=4646624099966573661",
+    ),
+    8 -> Map(
+      "customer" -> "150 rows hash=1456474228; c_custkey sum=11325; c_nationkey sum=1793; ts sumBits=4664913376273048480",
+      "lineitem" -> "6000 rows hash=1021617680; l_orderkey sum=4527568; l_partkey sum=605898; l_suppkey sum=33377; l_linestatus hash=1756212997; ts sumBits=4688896714197009080",
+      "nation" -> "25 rows hash=1798233325; n_nationkey sum=300; ts sumBits=4652992471273420568",
+      "orders" -> "1500 rows hash=-114361713; o_orderkey sum=1125750; o_custkey sum=111334; o_orderstatus hash=-1727148789; ts sumBits=4679886937974981522",
+      "part" -> "200 rows hash=-264651517; p_partkey sum=20100; ts sumBits=4666695684704136756",
+      "supplier" -> "10 rows hash=-1593854207; s_suppkey sum=55; s_nationkey sum=95; ts sumBits=4646624099966573661",
+    ),
+  )
 }

@@ -4,11 +4,12 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
-/** Synthetic OLAP data at a configurable scale factor.
-  *
-  * SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-  * benchmarks use SF~=0.1. Generators are deterministic in (sf, seed) so
-  * the DuckDB oracle sees identical input.
+/** Synthetic TPC-H-lite tables at a scale factor: the join columns only,
+  * each table with exactly the columns `StreamData.tpchAttrs` names for it.
+  * Row counts follow TPC-H's per-SF counts; tests use SF<=0.01 and the Fig 7
+  * benches SF 0.005 and 0.1. Foreign keys and status flags come from fixed
+  * `rand` seeds, which Spark applies per partition: the values depend on the
+  * seeds and on the session's default parallelism, which splits `range`.
   */
 object SynthData {
   private val NLineitemPerSf = 6_000_000L
@@ -30,80 +31,43 @@ object SynthData {
     "nation"   -> NNation,
   )
 
-  def lineitem(spark: SparkSession, sf: Double = 0.01, seed: Long = 0): DataFrame = {
-    import spark.implicits._
+  def lineitem(spark: SparkSession, sf: Double): DataFrame = {
     val nOrders = n(NOrdersPerSf, sf); val nPart = n(NPartPerSf, sf)
     val nSupp = n(NSupplierPerSf, sf)
     spark.range(n(NLineitemPerSf, sf)).select(
-      (rand(seed)     * nOrders + 1).cast(LongType)    as "l_orderkey",
-      (rand(seed + 1) * nPart   + 1).cast(LongType)    as "l_partkey",
-      (rand(seed + 10) * nSupp  + 1).cast(LongType)    as "l_suppkey",
-      (rand(seed + 2) * 7 + 1).cast(IntegerType)       as "l_linenumber",
-      (rand(seed + 3) * 50 + 1).cast(DoubleType)       as "l_quantity",
-      round(rand(seed + 4) * 90000 + 900, 2)           as "l_extendedprice",
-      round(rand(seed + 5) * 0.10, 2)                  as "l_discount",
-      round(rand(seed + 6) * 0.08, 2)                  as "l_tax",
-      element_at(array(lit("N"), lit("R"), lit("A")),
-                 (rand(seed + 7) * 3 + 1).cast("int")) as "l_returnflag",
+      (rand(0)  * nOrders + 1).cast(LongType)          as "l_orderkey",
+      (rand(1)  * nPart   + 1).cast(LongType)          as "l_partkey",
+      (rand(10) * nSupp   + 1).cast(LongType)          as "l_suppkey",
       element_at(array(lit("O"), lit("F")),
-                 (rand(seed + 8) * 2 + 1).cast("int")) as "l_linestatus",
-      date_add(lit("1992-01-01").cast(DateType),
-               (rand(seed + 9) * 2557).cast("int"))    as "l_shipdate",
+                 (rand(8) * 2 + 1).cast("int"))        as "l_linestatus",
     )
   }
 
-  def orders(spark: SparkSession, sf: Double = 0.01, seed: Long = 1): DataFrame = {
-    import spark.implicits._
+  def orders(spark: SparkSession, sf: Double): DataFrame = {
     val nCust = n(NCustomerPerSf, sf)
-    spark.range(1, n(NOrdersPerSf, sf) + 1).toDF("o_orderkey").select(
-      $"o_orderkey",
-      (rand(seed)     * nCust + 1).cast(LongType)             as "o_custkey",
+    spark.range(1, n(NOrdersPerSf, sf) + 1).select(
+      col("id")                                        as "o_orderkey",
+      (rand(1) * nCust + 1).cast(LongType)             as "o_custkey",
       element_at(array(lit("O"), lit("F"), lit("P")),
-                 (rand(seed + 1) * 3 + 1).cast("int"))         as "o_orderstatus",
-      round(rand(seed + 2) * 500000 + 1000, 2)                 as "o_totalprice",
-      date_add(lit("1992-01-01").cast(DateType),
-               (rand(seed + 3) * 2406).cast("int"))            as "o_orderdate",
+                 (rand(2) * 3 + 1).cast("int"))        as "o_orderstatus",
     )
   }
 
-  def customer(spark: SparkSession, sf: Double = 0.01, seed: Long = 2): DataFrame = {
-    import spark.implicits._
-    spark.range(1, n(NCustomerPerSf, sf) + 1).toDF("c_custkey").select(
-      $"c_custkey",
-      (rand(seed) * 25).cast(IntegerType)                as "c_nationkey",
-      round(rand(seed + 1) * 10000 - 1000, 2)            as "c_acctbal",
-      element_at(array(lit("BUILDING"), lit("AUTOMOBILE"), lit("MACHINERY"),
-                       lit("HOUSEHOLD"), lit("FURNITURE")),
-                 (rand(seed + 2) * 5 + 1).cast("int"))   as "c_mktsegment",
+  def customer(spark: SparkSession, sf: Double): DataFrame =
+    spark.range(1, n(NCustomerPerSf, sf) + 1).select(
+      col("id")                                        as "c_custkey",
+      (rand(2) * 25).cast(IntegerType)                 as "c_nationkey",
     )
-  }
 
-  def part(spark: SparkSession, sf: Double = 0.01, seed: Long = 5): DataFrame = {
-    import spark.implicits._
-    spark.range(1, n(NPartPerSf, sf) + 1).toDF("p_partkey").select(
-      $"p_partkey",
-      element_at(array(lit("STANDARD"), lit("SMALL"), lit("MEDIUM"),
-                       lit("LARGE"), lit("ECONOMY"), lit("PROMO")),
-                 (rand(seed) * 6 + 1).cast("int"))              as "p_type",
-      (rand(seed + 1) * 50 + 1).cast(IntegerType)               as "p_size",
-      round(lit(900.0) + ($"p_partkey" % 1000) / 10.0, 2)       as "p_retailprice",
-    )
-  }
+  def part(spark: SparkSession, sf: Double): DataFrame =
+    spark.range(1, n(NPartPerSf, sf) + 1).select(col("id") as "p_partkey")
 
-  def supplier(spark: SparkSession, sf: Double = 0.01, seed: Long = 6): DataFrame = {
-    import spark.implicits._
-    spark.range(1, n(NSupplierPerSf, sf) + 1).toDF("s_suppkey").select(
-      $"s_suppkey",
-      (rand(seed) * NNation).cast(IntegerType)  as "s_nationkey",
-      round(rand(seed + 1) * 10000 - 1000, 2)   as "s_acctbal",
+  def supplier(spark: SparkSession, sf: Double): DataFrame =
+    spark.range(1, n(NSupplierPerSf, sf) + 1).select(
+      col("id")                                        as "s_suppkey",
+      (rand(6) * NNation).cast(IntegerType)            as "s_nationkey",
     )
-  }
 
-  def nation(spark: SparkSession, sf: Double = 0.01, seed: Long = 7): DataFrame = {
-    import spark.implicits._
-    spark.range(0, NNation).toDF("n_nationkey").select(
-      $"n_nationkey".cast(IntegerType) as "n_nationkey",
-      (rand(seed) * 5).cast(IntegerType) as "n_regionkey",
-    )
-  }
+  def nation(spark: SparkSession): DataFrame =
+    spark.range(NNation).select(col("id").cast(IntegerType) as "n_nationkey")
 }

@@ -78,22 +78,36 @@ object AttrEq {
     }
   }
 
-  /** Connectivity of a relation set under a predicate set (join-graph BFS). */
-  def connectedRels(rels: Set[String], preds: Set[Pred]): Boolean = {
-    if (rels.isEmpty) return false
-    if (rels.size == 1) return true
-    val seen = mutable.Set(rels.head)
-    var grew = true
-    while (grew) {
-      grew = false
-      preds.foreach { p =>
-        if (p.within(rels)) {
-          if (seen(p.x.rel) && !seen(p.y.rel)) { seen += p.y.rel; grew = true }
-          if (seen(p.y.rel) && !seen(p.x.rel)) { seen += p.x.rel; grew = true }
-        }
+  /** A join order of `rels` under `preds` (join-graph BFS): the smallest-named
+    * relation first, then each time the smallest-named relation that a
+    * predicate joins to those before it. The order stops where no predicate
+    * joins the rest, so it covers `rels` iff the predicates connect them.
+    */
+  def joinOrder(rels: Set[String], preds: Set[Pred]): Vector[String] = {
+    val order = new Array[String](rels.size)
+    order.take(orderInto(rels, preds, order)).toVector
+  }
+
+  /** Connectivity of a relation set under a predicate set (see `joinOrder`). */
+  def connectedRels(rels: Set[String], preds: Set[Pred]): Boolean =
+    rels.nonEmpty && orderInto(rels, preds, new Array[String](rels.size)) == rels.size
+
+  /** Writes `joinOrder(rels, preds)` to the front of `order`; returns its length. */
+  private def orderInto(rels: Set[String], preds: Set[Pred], order: Array[String]): Int = {
+    var n = 0
+    def covered(r: String): Boolean = { var i = 0; while (i < n && order(i) != r) i += 1; i < n }
+    var next = if (rels.isEmpty) null else rels.min
+    while (next != null) {
+      order(n) = next
+      n += 1
+      next = null
+      rels.foreach { r =>
+        if ((next == null || r < next) && !covered(r) &&
+            preds.exists(p => p.x.rel == r && covered(p.y.rel) || p.y.rel == r && covered(p.x.rel)))
+          next = r
       }
     }
-    seen.size == rels.size
+    n
   }
 }
 

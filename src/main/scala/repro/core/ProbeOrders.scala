@@ -130,17 +130,10 @@ final case class StepKey(prefix: Vector[String], target: String, preds: String, 
   override val hashCode: Int = scala.util.hashing.MurmurHash3.caseClassHash(this)
 }
 
-/** Candidate probe-order construction (Algorithm 1) and partitioning
-  * candidates / decoration (Section V).
+/** Partitioning candidates and decoration (Section V); `Usable` builds the
+  * candidate probe orders (Algorithm 1).
   */
 object ProbeOrders {
-
-  /** Algorithm 1: the candidate probe orders of `sub` from `start` over the
-    * usable MIRs of `mirs`, avoiding cross products (each appended MIR must be
-    * joined with the covered relations by at least one predicate of `sub`).
-    */
-  def candidatesFrom(sub: Subquery, mirs: Set[Mir], start: String): Vector[ProbeOrder] =
-    new Usable(sub, mirs).ordersFrom(start).map(_._1)
 
   /** Partitioning candidates of each store of `mirs` (Section V): every
     * attribute of the MIR's relations that appears, in *any* query of the

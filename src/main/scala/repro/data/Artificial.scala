@@ -26,22 +26,22 @@ object Artificial {
     window,
   )
 
-  /** Deterministic per-tuple arrival jitter (fraction of a second). Matching
-    * tuples of different relations must not arrive at the same instant —
-    * otherwise, under network delay, every probe would race its join
-    * partner's store operation and no results would ever be observable.
+  /** Deterministic per-tuple arrival jitter (fraction of a second; `gen`
+    * scales it to at most half a second). Matching tuples of different
+    * relations must not arrive at the same instant — otherwise, under network
+    * delay, every probe would race its join partner's store operation and no
+    * results would ever be observable.
     */
   private def jitter(relIdx: Int, k: Long): Double = {
     val h = (k * 0x9e3779b97f4a7c15L) ^ (relIdx * 0x2545f4914f6cdd1dL)
     math.floorMod(h, 1000000L) / 1000000.0
   }
 
-  private def gen(rel: String, relIdx: Int, rate: Double, duration: Double,
-                  jitterAmp: Double = 0.5)
+  private def gen(rel: String, relIdx: Int, rate: Double, duration: Double)
                  (vals: (Long, Double) => Map[String, Long]): Vector[InTuple] = {
     val n = (rate * duration).toLong
     (0L until n).map { k =>
-      val ts = k / rate + relIdx * 1e-7 + jitter(relIdx, k) * jitterAmp
+      val ts = k / rate + relIdx * 1e-7 + jitter(relIdx, k) * 0.5
       InTuple(rel, vals(k, ts), ts)
     }.toVector
   }

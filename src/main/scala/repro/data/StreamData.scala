@@ -13,18 +13,18 @@ import repro.sim.InTuple
   */
 object StreamData {
 
-  /** Spread a DataFrame's rows uniformly over `[t0, t0 + horizon)` in a
+  /** Spread a DataFrame's rows uniformly over `[0, horizon)` in a
     * deterministic shuffled order, assigning a unique `ts` column.
     * `relIdx < 16` disambiguates timestamps across relations.
     */
-  def withTs(df: DataFrame, seed: Long, horizon: Double, relIdx: Int, t0: Double = 0.0): DataFrame = {
+  def withTs(df: DataFrame, seed: Long, horizon: Double, relIdx: Int): DataFrame = {
     require(relIdx >= 0 && relIdx < 16, "relIdx must be in [0, 16)")
     val nRows = math.max(df.count(), 1L)
     require(horizon / nRows >= 2e-6, s"horizon too short for $nRows rows")
     val w = Window.orderBy(rand(seed), monotonically_increasing_id())
     df.withColumn("__rk", row_number().over(w).cast("long") - 1)
       .withColumn("ts",
-        (floor(col("__rk") * lit(horizon / nRows) * 1e6) * 16 + relIdx) / lit(16e6) + lit(t0))
+        (floor(col("__rk") * lit(horizon / nRows) * 1e6) * 16 + relIdx) / lit(16e6))
       .drop("__rk")
   }
 
@@ -64,7 +64,9 @@ object StreamData {
   // TPC-H-lite streams (Section VII.A substitute for TPC-H SF10 over Kafka)
   // -------------------------------------------------------------------------
 
-  /** Join-relevant attributes per relation. */
+  /** The TPC-H-lite schema: the columns `SynthData` generates per relation,
+    * all of them join attributes.
+    */
   val tpchAttrs: Map[String, Vector[String]] = Map(
     "lineitem" -> Vector("l_orderkey", "l_partkey", "l_suppkey", "l_linestatus"),
     "orders"   -> Vector("o_orderkey", "o_custkey", "o_orderstatus"),
@@ -74,8 +76,8 @@ object StreamData {
     "nation"   -> Vector("n_nationkey"),
   )
 
-  def tpchCatalog(parallelism: Int = 5): Catalog =
-    Catalog(tpchAttrs.map { case (r, as) => r -> RelDef(r, as, parallelism) }, parallelism)
+  /** The TPC-H-lite relations, each over 5 workers, as are their MIR stores. */
+  def tpchCatalog(): Catalog = Catalog(tpchAttrs.map { case (r, as) => r -> RelDef(r, as) })
 
   /** The joinable-column graph of Section VII.A: PK/FK edges plus the
     * type-compatible high-selectivity `linestatus = orderstatus` edge.
@@ -99,10 +101,10 @@ object StreamData {
       "customer" -> SynthData.customer(spark, sf),
       "part"     -> SynthData.part(spark, sf),
       "supplier" -> SynthData.supplier(spark, sf),
-      "nation"   -> SynthData.nation(spark, sf),
+      "nation"   -> SynthData.nation(spark),
     )
     base.toVector.sortBy(_._1).zipWithIndex.map { case ((r, df), i) =>
-      r -> withTs(df.select(tpchAttrs(r).map(col): _*), seed + i, horizon, i).cache()
+      r -> withTs(df, seed + i, horizon, i).cache()
     }.toMap
   }
 
@@ -130,13 +132,9 @@ object StreamData {
     * high-selectivity status predicate as an extra conjunct when both its
     * relations are present. Exact duplicates are eliminated.
     */
-  def randomTpchQueries(nQ: Int, sizes: Seq[Int], window: Double, seed: Long): Vector[Query] =
-    randomQueries(tpchPkFkPreds, nQ, sizes, window, seed, extra = Some((tpchStatusPred, 0.3)))
-
-  def randomQueries(pool: Vector[Pred], nQ: Int, sizes: Seq[Int], window: Double, seed: Long,
-                    extra: Option[(Pred, Double)] = None): Vector[Query] = {
+  def randomTpchQueries(nQ: Int, sizes: Seq[Int], window: Double, seed: Long): Vector[Query] = {
     val rng = new java.util.Random(seed)
-    val rels = pool.flatMap(p => Seq(p.x.rel, p.y.rel)).distinct.sorted
+    val rels = tpchPkFkPreds.flatMap(p => Seq(p.x.rel, p.y.rel)).distinct.sorted
     val out = Vector.newBuilder[Query]
     val seen = scala.collection.mutable.Set[(Set[String], Set[Pred])]()
     var made = 0
@@ -148,7 +146,7 @@ object StreamData {
       var qPreds = Set.empty[Pred]
       var stuck = false
       while (qRels.size < size && !stuck) {
-        val candidates = pool.filter(p =>
+        val candidates = tpchPkFkPreds.filter(p =>
           p.rels.exists(qRels) && p.rels.exists(r => !qRels(r)))
         if (candidates.isEmpty) stuck = true
         else {
@@ -158,9 +156,7 @@ object StreamData {
         }
       }
       if (!stuck) {
-        extra.foreach { case (p, prob) =>
-          if (p.rels.subsetOf(qRels) && rng.nextDouble() < prob) qPreds += p
-        }
+        if (tpchStatusPred.rels.subsetOf(qRels) && rng.nextDouble() < 0.3) qPreds += tpchStatusPred
         if (!seen((qRels, qPreds))) {
           seen += ((qRels, qPreds))
           made += 1

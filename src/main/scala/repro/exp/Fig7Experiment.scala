@@ -43,17 +43,26 @@ object Fig7Experiment {
       streams: Map[String, Vector[InTuple]],
   )
 
+  /** `nQueries` random join queries over TPC-H-lite with its catalog and
+    * analytic statistics: what the simulator and the Spark counts both plan.
+    */
+  private def setup(sf: Double, horizon: Double, window: Double,
+                    nQueries: Int, seed: Long): (Vector[Query], Catalog, Stats) = {
+    val queries = StreamData.randomTpchQueries(nQueries, Seq(3, 3, 4), window, seed)
+    require(queries.size == nQueries, s"only ${queries.size} distinct queries generated")
+    (queries, StreamData.tpchCatalog(), StreamData.tpchStats(sf, window, horizon))
+  }
+
   /** Build a TPC-H-lite stream workload with `nQueries` random join queries. */
   def workload(spark: SparkSession, sf: Double, horizon: Double, window: Double,
                nQueries: Int, seed: Long): Workload = {
-    val queries = StreamData.randomTpchQueries(nQueries, Seq(3, 3, 4), window, seed)
-    require(queries.size == nQueries, s"only ${queries.size} distinct queries generated")
+    val (queries, catalog, stats) = setup(sf, horizon, window, nQueries, seed)
     val rels = queries.flatMap(_.relations).toSet
     val dfs = StreamData.tpchStreams(spark, sf, horizon)
     val streams = rels.map { r =>
       r -> StreamData.collect(r, dfs(r), StreamData.tpchAttrs(r))
     }.toMap
-    Workload(queries, StreamData.tpchCatalog(), StreamData.tpchStats(sf, window, horizon), streams)
+    Workload(queries, catalog, stats, streams)
   }
 
   private val NodeBudget = 200000L
@@ -104,9 +113,7 @@ object Fig7Experiment {
   def sparkProbeWork(spark: SparkSession, sf: Double, horizon: Double, window: Double,
                      nQueries: Int, seed: Long): Vector[SparkWork] = {
     import repro.runtime.StreamJoinExec
-    val queries = StreamData.randomTpchQueries(nQueries, Seq(3, 3, 4), window, seed)
-    val catalog = StreamData.tpchCatalog()
-    val stats = StreamData.tpchStats(sf, window, horizon)
+    val (queries, catalog, stats) = setup(sf, horizon, window, nQueries, seed)
     val dfs = StreamData.tpchStreams(spark, sf, horizon)
 
     val memo = scala.collection.mutable.Map[StepKey, Long]()

@@ -4,20 +4,19 @@ import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.core._
 
-/** Spark (Catalyst) execution of windowed multi-way stream joins and of the
-  * optimizer's probe orders over timestamped DataFrames.
+/** Spark (Catalyst) execution of the optimizer's steps over timestamped
+  * DataFrames: the exact number of tuples each step sends, at Spark scale.
   *
   * Conventions: each input relation is a DataFrame whose columns are the
   * relation's attributes plus a unique `ts` (Double, seconds — the same unit
-  * the event simulator uses). All outputs use columns named `<rel>__<attr>`
-  * and `<rel>__ts` so results from different relations never collide and can
+  * the event simulator uses). Joined rows use columns named `<rel>__<attr>`
+  * and `<rel>__ts` so columns from different relations never collide and can
   * be compared with the DuckDB oracle.
   *
   * Semantics (Section I.A): a combination (s_1, …, s_m) is a result iff all
   * equi-predicates hold and the pairwise timestamp distance is at most the
-  * query window. The result of one probe order is the subset where the start
-  * relation's tuple arrived last; the union over all starting relations is
-  * the full result (timestamps are unique).
+  * query window. A probe order from a start relation computes the subset
+  * where the start relation's tuple arrived last.
   */
 object StreamJoinExec {
 
@@ -58,38 +57,12 @@ object StreamJoinExec {
     joined.where(pairwiseWindow(order, windowMs))
   }
 
-  /** Full windowed result of a query. */
-  def queryResult(q: Query, inputs: Map[String, DataFrame]): DataFrame =
-    subqueryJoin(q.relations, q.predicates, q.window, inputs)
-
-  /** Result of one probe order: the combinations where the start relation's
-    * tuple is the latest arrival.
-    */
-  def probeOrderResult(po: ProbeOrder, inputs: Map[String, DataFrame]): DataFrame = {
-    val full = subqueryJoin(po.sub.relations, po.sub.predicates, po.sub.window, inputs)
-    val others = (po.sub.relations - po.start).toSeq
-    val startLatest = others
-      .map(r => col(tsCol(po.start)) > col(tsCol(r)))
+  /** The rows of a join over `rels` where `start`'s tuple arrived last. */
+  def startLatest(start: String, rels: Set[String]): Column =
+    (rels - start).toSeq
+      .map(r => col(tsCol(start)) > col(tsCol(r)))
       .reduceOption(_ && _)
       .getOrElse(lit(true))
-    full.where(startLatest)
-  }
-
-  /** Union over all starting relations of per-probe-order results — must equal
-    * `queryResult` (completeness of the probe-order decomposition).
-    */
-  def unionOverStarts(q: Query, mirs: Set[Mir], inputs: Map[String, DataFrame]): DataFrame = {
-    val sub = Subquery.ofQuery(q)
-    val cols = q.relations.toSeq.sorted.flatMap { r =>
-      inputs(r).columns.map(c => col(col2(r, c)))
-    }
-    q.relations.toSeq.sorted
-      .map { start =>
-        val po = ProbeOrders.candidatesFrom(sub, mirs, start).head
-        probeOrderResult(po, inputs).select(cols: _*)
-      }
-      .reduce(_ union _)
-  }
 
   /** Exact number of tuples sent by `step` (step t of a decorated probe order
     * is `Decorated.steps(t - 1)`, t = 1..k-1) on this data: the count of
@@ -106,27 +79,18 @@ object StreamJoinExec {
       inputs(start).count() * chi
     } else {
       val prefix = subqueryJoin(covered, step.sub.inducedPreds(covered), step.sub.window, inputs)
-      val others = (covered - start).toSeq
-      val startLatest = others.map(r => col(tsCol(start)) > col(tsCol(r))).reduce(_ && _)
-      prefix.where(startLatest).count() * chi
+      prefix.where(startLatest(start, covered)).count() * chi
     }
   }
 
-  /** A connected join order over the relations (BFS over the predicate graph).
+  /** A connected join order over the relations (see `AttrEq.joinOrder`).
     * A relation set the predicates do not connect has no such order: it is
     * rejected, since joining it would need a cross product.
     */
   def connectedOrder(rels: Set[String], preds: Set[Pred]): Vector[String] = {
-    val sorted = rels.toVector.sorted
-    var order = Vector(sorted.head)
-    var remaining = rels - sorted.head
-    while (remaining.nonEmpty) {
-      val next = remaining.toVector.sorted.find(r => preds.exists(_.connects(order.toSet, Set(r))))
-      require(next.isDefined,
-              s"relations ${remaining.toVector.sorted.mkString(", ")} are not joined to ${order.mkString(", ")}")
-      order :+= next.get
-      remaining -= next.get
-    }
+    val order = AttrEq.joinOrder(rels, preds)
+    require(order.size == rels.size,
+            s"relations ${(rels -- order).toVector.sorted.mkString(", ")} are not joined to ${order.mkString(", ")}")
     order
   }
 }

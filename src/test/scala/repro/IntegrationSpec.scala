@@ -3,7 +3,7 @@ package repro
 import org.apache.spark.sql.functions._
 import repro.core._
 import repro.data.StreamData
-import repro.runtime.StreamJoinExec
+import repro.runtime.{SparkResults, StreamJoinExec}
 import repro.sim.{EventSim, SimParams}
 
 /** Full-stack integration: TPC-H-lite streams planned by the optimizer,
@@ -36,7 +36,7 @@ class IntegrationSpec extends SparkSpec {
   private val stats = StreamData.tpchStats(0.002, window, horizon)
 
   test("TPC-H 3-way stream join: Spark runtime equals DuckDB") {
-    val result = StreamJoinExec.queryResult(q, dfs)
+    val result = SparkResults.queryResult(q, dfs)
       .select(col("lineitem__l_orderkey"), col("lineitem__ts"),
               col("orders__o_orderkey"), col("orders__ts"),
               col("customer__c_custkey"), col("customer__ts"))
@@ -57,7 +57,7 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("TPC-H 3-way stream join: simulator result count equals Spark") {
-    val sparkCount = StreamJoinExec.queryResult(q, dfs).count()
+    val sparkCount = SparkResults.queryResult(q, dfs).count()
     val streams = dfs.map { case (r, df) => r -> StreamData.collect(r, df, StreamData.tpchAttrs(r)) }
     val sel = Planner.mqo(Seq(q), catalog, stats).selection
     val sim = new EventSim(catalog, SimParams(deterministic = true))
@@ -102,9 +102,9 @@ class IntegrationSpec extends SparkSpec {
       Set(Pred.of("lineitem", "l_orderkey", "orders", "o_orderkey"),
           StreamData.tpchStatusPred),
       window)
-    val keysOnly = StreamJoinExec.queryResult(q.copy(relations = qs.relations,
+    val keysOnly = SparkResults.queryResult(q.copy(relations = qs.relations,
       predicates = Set(Pred.of("lineitem", "l_orderkey", "orders", "o_orderkey"))), dfs).count()
-    val both = StreamJoinExec.queryResult(qs, dfs).count()
+    val both = SparkResults.queryResult(qs, dfs).count()
     assert(both <= keysOnly)
     assert(both > 0)
   }

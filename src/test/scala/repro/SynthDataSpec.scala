@@ -1,6 +1,7 @@
 package repro
 
 import org.apache.spark.sql.functions._
+import repro.data.StreamData
 
 class SynthDataSpec extends SparkSpec {
 
@@ -41,10 +42,23 @@ class SynthDataSpec extends SparkSpec {
 
   test("supplier and nation join domains line up") {
     val s = SynthData.supplier(spark, 0.01)
-    val n = SynthData.nation(spark, 0.01)
+    val n = SynthData.nation(spark)
     assert(n.count() == 25)
     val joined = s.join(n, s("s_nationkey") === n("n_nationkey")).count()
     assert(joined == s.count(), "every supplier has a nation")
+  }
+
+  test("each table has exactly the catalogued columns, in order") {
+    val tables = Map(
+      "lineitem" -> SynthData.lineitem(spark, 0.001),
+      "orders"   -> SynthData.orders(spark, 0.001),
+      "customer" -> SynthData.customer(spark, 0.001),
+      "part"     -> SynthData.part(spark, 0.001),
+      "supplier" -> SynthData.supplier(spark, 0.001),
+      "nation"   -> SynthData.nation(spark),
+    )
+    assert(tables.keySet == StreamData.tpchAttrs.keySet)
+    tables.foreach { case (rel, df) => assert(df.columns.toVector == StreamData.tpchAttrs(rel), rel) }
   }
 
   test("status domains match the paper's example (O/F vs O/F/P)") {

@@ -22,23 +22,23 @@ class ProbeOrderSpec extends AnyFunSuite {
 
   /** Algorithm 1's candidates of `sub` from each of its relations. */
   private def allOrders(sub: Subquery, mirs: Set[Mir]): Vector[ProbeOrder] =
-    sub.relations.toVector.sorted.flatMap(ProbeOrders.candidatesFrom(sub, mirs, _))
+    sub.relations.toVector.sorted.flatMap(Candidates(sub, mirs, _))
 
   private def labels(pos: Seq[ProbeOrder]): Set[String] =
     pos.map(_.elems.map(_.relations.mkString("")).mkString("<", ",", ">")).toSet
 
   test("fig-3 candidate probe orders for q1") {
     val sub = Subquery.ofQuery(q1)
-    assert(labels(ProbeOrders.candidatesFrom(sub, mirs1, "R")) == Set("<R,S,T>", "<R,ST>"))
-    assert(labels(ProbeOrders.candidatesFrom(sub, mirs1, "S")) == Set("<S,T,R>", "<S,R,T>"))
-    assert(labels(ProbeOrders.candidatesFrom(sub, mirs1, "T")) == Set("<T,S,R>", "<T,RS>"))
+    assert(labels(Candidates(sub, mirs1, "R")) == Set("<R,S,T>", "<R,ST>"))
+    assert(labels(Candidates(sub, mirs1, "S")) == Set("<S,T,R>", "<S,R,T>"))
+    assert(labels(Candidates(sub, mirs1, "T")) == Set("<T,S,R>", "<T,RS>"))
   }
 
   test("fig-3 candidate probe orders for q2") {
     val sub = Subquery.ofQuery(q2)
-    assert(labels(ProbeOrders.candidatesFrom(sub, mirs2, "S")) == Set("<S,T,U>", "<S,TU>"))
-    assert(labels(ProbeOrders.candidatesFrom(sub, mirs2, "T")) == Set("<T,S,U>", "<T,U,S>"))
-    assert(labels(ProbeOrders.candidatesFrom(sub, mirs2, "U")) == Set("<U,T,S>", "<U,ST>"))
+    assert(labels(Candidates(sub, mirs2, "S")) == Set("<S,T,U>", "<S,TU>"))
+    assert(labels(Candidates(sub, mirs2, "T")) == Set("<T,S,U>", "<T,U,S>"))
+    assert(labels(Candidates(sub, mirs2, "U")) == Set("<U,T,S>", "<U,ST>"))
   }
 
   test("fig-3 maintenance probe orders for q_RS and q_TU") {
@@ -53,7 +53,7 @@ class ProbeOrderSpec extends AnyFunSuite {
   test("cross products are avoided: no order visits an unconnected store") {
     val sub = Subquery.ofQuery(q1)
     // from R, the first probed store can only be S or ST (T is not joined with R)
-    val fromR = ProbeOrders.candidatesFrom(sub, mirs1, "R")
+    val fromR = Candidates(sub, mirs1, "R")
     assert(fromR.forall(_.elems(1).relSet.contains("S")))
   }
 
@@ -88,7 +88,7 @@ class ProbeOrderSpec extends AnyFunSuite {
 
   test("fig-3 q1/R decorated probe orders: 4 iterative + 2 via ST = 6") {
     val sub = Subquery.ofQuery(q1)
-    val ds = ProbeOrders.candidatesFrom(sub, mirs1, "R").flatMap(Decorate(_, workload))
+    val ds = Candidates(sub, mirs1, "R").flatMap(Decorate(_, workload))
     assert(ds.size == 6)
     val viaSt = ds.filter(_.po.elems.exists(m => !m.isBase))
     assert(viaSt.size == 2) // ST[S.b], ST[T.d]
@@ -96,7 +96,7 @@ class ProbeOrderSpec extends AnyFunSuite {
 
   test("steps of a decorated order are its prefixes") {
     val sub = Subquery.ofQuery(q1)
-    val d = ProbeOrders.candidatesFrom(sub, mirs1, "R")
+    val d = Candidates(sub, mirs1, "R")
       .flatMap(Decorate(_, workload))
       .find(_.po.elems.map(_.label) == Vector("R", "S", "T")).get
     assert(d.steps.size == 2)
@@ -108,7 +108,7 @@ class ProbeOrderSpec extends AnyFunSuite {
 
   test("equal prefixes share step identity (sigma7 in fig-3)") {
     val sub = Subquery.ofQuery(q1)
-    val ds = ProbeOrders.candidatesFrom(sub, mirs1, "R").flatMap(Decorate(_, workload))
+    val ds = Candidates(sub, mirs1, "R").flatMap(Decorate(_, workload))
     val iterative = ds.filter(_.po.elems.forall(_.isBase))
     // group by the S-partitioning of the first step: same S[p] -> same first step key
     val byFirst = iterative.groupBy(_.steps.head.key)
@@ -118,16 +118,16 @@ class ProbeOrderSpec extends AnyFunSuite {
 
   test("different partitioning means different step identity (sigma7 vs sigma8)") {
     val sub = Subquery.ofQuery(q1)
-    val ds = ProbeOrders.candidatesFrom(sub, mirs1, "R").flatMap(Decorate(_, workload))
+    val ds = Candidates(sub, mirs1, "R").flatMap(Decorate(_, workload))
     val keys = ds.filter(_.po.elems.forall(_.isBase)).map(_.steps.head.key).toSet
     assert(keys.size == 2)
   }
 
   test("steps shared across queries: <S,T[c]> of q1 equals <S,T[c]> of q2") {
-    val d1 = ProbeOrders.candidatesFrom(Subquery.ofQuery(q1), mirs1, "S")
+    val d1 = Candidates(Subquery.ofQuery(q1), mirs1, "S")
       .flatMap(Decorate(_, workload))
       .filter(d => d.po.elems(1) == Mir.base("T") && d.parts(0).contains(Attr("T", "c")))
-    val d2 = ProbeOrders.candidatesFrom(Subquery.ofQuery(q2), mirs2, "S")
+    val d2 = Candidates(Subquery.ofQuery(q2), mirs2, "S")
       .flatMap(Decorate(_, workload))
       .filter(d => d.po.elems(1) == Mir.base("T") && d.parts(0).contains(Attr("T", "c")))
     assert(d1.nonEmpty && d2.nonEmpty)
@@ -136,7 +136,7 @@ class ProbeOrderSpec extends AnyFunSuite {
 
   test("routing feasibility: routed when partition attribute is derivable") {
     val sub = Subquery.ofQuery(q1)
-    val ds = ProbeOrders.candidatesFrom(sub, mirs1, "R").flatMap(Decorate(_, workload))
+    val ds = Candidates(sub, mirs1, "R").flatMap(Decorate(_, workload))
     // <R, S[b], ...>: R.b = S.b -> routed; <R, S[c], ...>: c unknown at R -> broadcast
     val sb = ds.find(d => d.parts(0).contains(Attr("S", "b"))).get.steps.head
     val sc = ds.find(d => d.parts(0).contains(Attr("S", "c"))).get.steps.head
@@ -156,7 +156,7 @@ class ProbeOrderSpec extends AnyFunSuite {
 
   test("broadcast probe order <R,S[b],T[d]> exists for q1 (fig-3 sigma3)") {
     val sub = Subquery.ofQuery(q1)
-    val ds = ProbeOrders.candidatesFrom(sub, mirs1, "R").flatMap(Decorate(_, workload))
+    val ds = Candidates(sub, mirs1, "R").flatMap(Decorate(_, workload))
     val sigma3 = ds.find(d =>
       d.po.elems.forall(_.isBase) &&
       d.parts == Vector(Some(Attr("S", "b")), Some(Attr("T", "d"))))
@@ -166,7 +166,7 @@ class ProbeOrderSpec extends AnyFunSuite {
 
   test("mirsUsed reports non-base elements") {
     val sub = Subquery.ofQuery(q1)
-    val ds = ProbeOrders.candidatesFrom(sub, mirs1, "R").flatMap(Decorate(_, workload))
+    val ds = Candidates(sub, mirs1, "R").flatMap(Decorate(_, workload))
     val viaSt = ds.find(!_.mirsUsed.isEmpty).get
     assert(viaSt.mirsUsed.map(_.relations.mkString("")) == Set("ST"))
   }

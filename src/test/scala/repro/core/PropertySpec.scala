@@ -54,7 +54,7 @@ class PropertySpec extends AnyFunSuite {
       val mirs = Mir.enumerate(q)
       val sub = Subquery.ofQuery(q)
       q.relations.foreach { start =>
-        val cands = ProbeOrders.candidatesFrom(sub, mirs, start)
+        val cands = Candidates(sub, mirs, start)
         assert(cands.nonEmpty, s"no candidates from $start for $q")
         cands.foreach { po =>
           assert(po.elems.head == Mir.base(start))
@@ -76,7 +76,7 @@ class PropertySpec extends AnyFunSuite {
       val mirs = Mir.enumerate(q)
       for {
         start <- q.relations.toVector.sorted.take(2)
-        po <- ProbeOrders.candidatesFrom(sub, mirs, start).take(3)
+        po <- Candidates(sub, mirs, start).take(3)
         d <- Decorate(po, Vector(q)).take(3)
       } {
         val steps = d.steps
@@ -99,7 +99,7 @@ class PropertySpec extends AnyFunSuite {
       val mirs = Mir.enumerate(q)
       for {
         start <- q.relations.toVector.sorted.take(1)
-        po <- ProbeOrders.candidatesFrom(sub, mirs, start).take(4)
+        po <- Candidates(sub, mirs, start).take(4)
         d <- Decorate(po, Vector(q)).take(4)
         s <- d.steps
       } {

@@ -33,43 +33,43 @@ class StreamJoinExecSpec extends SparkSpec {
   private def tables = query.relations.toSeq.sorted.map(r => r -> dfs(r))
 
   test("full windowed join equals DuckDB") {
-    val result = StreamJoinExec.queryResult(query, dfs)
+    val result = SparkResults.queryResult(query, dfs)
     Oracle.assertEquivalent(result, oracleSql(None), tables: _*)
   }
 
   test("probe order result = combinations where the start tuple is latest") {
     val sub = Subquery.ofQuery(query)
     for (start <- query.relations.toSeq.sorted) {
-      val po = ProbeOrders.candidatesFrom(sub, Mir.enumerate(query), start).head
-      val result = StreamJoinExec.probeOrderResult(po, dfs)
+      val po = Candidates(sub, Mir.enumerate(query), start).head
+      val result = SparkResults.probeOrderResult(po, dfs)
       Oracle.assertEquivalent(result, oracleSql(Some(start)), tables: _*)
     }
   }
 
   test("union over starting relations is the complete result") {
-    val full = StreamJoinExec.queryResult(query, dfs)
-    val union = StreamJoinExec.unionOverStarts(query, Mir.enumerate(query), dfs)
+    val full = SparkResults.queryResult(query, dfs)
+    val union = SparkResults.unionOverStarts(query, Mir.enumerate(query), dfs)
     assert(union.count() == full.count())
     assert(union.except(full).isEmpty && full.except(union).isEmpty)
   }
 
   test("probe-order partitions are disjoint (unique timestamps)") {
-    val full = StreamJoinExec.queryResult(query, dfs).count()
+    val full = SparkResults.queryResult(query, dfs).count()
     val sub = Subquery.ofQuery(query)
     val parts = query.relations.toSeq.sorted.map { start =>
-      val po = ProbeOrders.candidatesFrom(sub, Mir.enumerate(query), start).head
-      StreamJoinExec.probeOrderResult(po, dfs).count()
+      val po = Candidates(sub, Mir.enumerate(query), start).head
+      SparkResults.probeOrderResult(po, dfs).count()
     }
     assert(parts.sum == full)
   }
 
   test("probe order via an MIR yields the same result as iterative") {
     val sub = Subquery.ofQuery(query)
-    val cands = ProbeOrders.candidatesFrom(sub, Mir.enumerate(query), "R")
+    val cands = Candidates(sub, Mir.enumerate(query), "R")
     val viaMir = cands.find(_.elems.exists(!_.isBase)).get
     val iterative = cands.find(_.elems.forall(_.isBase)).get
-    val a = StreamJoinExec.probeOrderResult(viaMir, dfs)
-    val b = StreamJoinExec.probeOrderResult(iterative, dfs)
+    val a = SparkResults.probeOrderResult(viaMir, dfs)
+    val b = SparkResults.probeOrderResult(iterative, dfs)
     assert(a.count() == b.count())
     assert(a.except(b).isEmpty && b.except(a).isEmpty)
   }
@@ -78,13 +78,13 @@ class StreamJoinExecSpec extends SparkSpec {
     // matching tuples of tiny() lie within 3e-7 s of each other
     val narrow = query.copy(window = 1e-7)
     val wide = query.copy(window = 1e9)
-    assert(StreamJoinExec.queryResult(narrow, dfs).count() <
-           StreamJoinExec.queryResult(wide, dfs).count())
+    assert(SparkResults.queryResult(narrow, dfs).count() <
+           SparkResults.queryResult(wide, dfs).count())
   }
 
   test("step sent counts: first step = |start| × χ") {
     val sub = Subquery.ofQuery(query)
-    val d = ProbeOrders.candidatesFrom(sub, Mir.enumerate(query), "R")
+    val d = Candidates(sub, Mir.enumerate(query), "R")
       .filter(_.elems.forall(_.isBase))
       .flatMap(Decorate(_, Vector(query)))
       .head
@@ -94,7 +94,7 @@ class StreamJoinExecSpec extends SparkSpec {
 
   test("step sent counts decrease along a selective chain") {
     val sub = Subquery.ofQuery(query)
-    val d = ProbeOrders.candidatesFrom(sub, Mir.enumerate(query), "R")
+    val d = Candidates(sub, Mir.enumerate(query), "R")
       .filter(_.elems.forall(_.isBase))
       .flatMap(Decorate(_, Vector(query)))
       .filter(x => x.steps.forall(_.routed))
@@ -111,7 +111,7 @@ class StreamJoinExecSpec extends SparkSpec {
     val ord = sfDfs("orders").cache()
     val q = Query("lo", Set("lineitem", "orders"),
                   Set(Pred.of("lineitem", "l_orderkey", "orders", "o_orderkey")), window = 50.0)
-    val result = StreamJoinExec.queryResult(q, Map("lineitem" -> li, "orders" -> ord))
+    val result = SparkResults.queryResult(q, Map("lineitem" -> li, "orders" -> ord))
       .select(col("lineitem__l_orderkey"), col("lineitem__ts") as "lineitem__ts",
               col("orders__o_orderkey"), col("orders__ts") as "orders__ts")
     val sql =

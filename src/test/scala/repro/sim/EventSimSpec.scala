@@ -3,7 +3,7 @@ package repro.sim
 import repro.{SparkSpec, TestData}
 import repro.core._
 import repro.data.Artificial
-import repro.runtime.StreamJoinExec
+import repro.runtime.{SparkResults, StreamJoinExec}
 
 /** Correctness of the event simulator: emitted results must equal the
   * brute-force windowed join and the Spark runtime on the same data, and
@@ -106,7 +106,7 @@ class EventSimSpec extends SparkSpec {
 
   test("sim equals the Spark runtime result for the same input") {
     val dfs = TestData.toDfs(spark, catalog, input)
-    val sparkRows = StreamJoinExec.queryResult(query, dfs)
+    val sparkRows = SparkResults.queryResult(query, dfs)
       .select(query.relations.toSeq.sorted.map(r =>
         org.apache.spark.sql.functions.col(StreamJoinExec.tsCol(r))): _*)
       .collect()
